@@ -34,6 +34,7 @@ from .chartab import (
 )
 from .exactnum import CycloNum
 from .ffscan import (
+    check_scan_prime,
     ci_curve_points_d9,
     hypersurface_window_d2,
     jacobian_zero_counts,
@@ -119,10 +120,11 @@ class RunConfig:
     format: str = "text"
 
     def validate(self) -> None:
-        if (self.scan_prime_d9 - 1) % 9 != 0:
-            raise ValueError("scan_prime_d9 must be 1 mod 9")
-        if (self.scan_prime_d11 - 1) % 11 != 0:
-            raise ValueError("scan_prime_d11 must be 1 mod 11")
+        for name, d in (("scan_prime_d9", 9), ("scan_prime_d11", 11)):
+            try:
+                check_scan_prime(d, getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if self.t_max < 2:
             raise ValueError("t_max must be at least 2")
         if self.format not in ("json", "text"):

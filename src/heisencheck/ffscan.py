@@ -2,9 +2,19 @@
 
 Strata of the skew quadric matrix are classified through Pfaffian
 vanishing (for an alternating matrix, rank < 2k+2 exactly when all
-(2k+2)-Pfaffians vanish), evaluated as vectorized arithmetic over all
-canonical points at once; exact Gaussian elimination is kept as the
+(2k+2)-Pfaffians vanish), evaluated as vectorized arithmetic over a block
+of canonical points at once; exact Gaussian elimination is kept as the
 per-point oracle and cross-checked on every scan.
+
+Every entry of the matrix is a signed quadratic monomial, so the kernel
+uses closed forms: each entry value x_a x_b mod q is computed once with its
+sign kept symbolic, each principal 4x4 Pfaffian is
+a_ij a_kl - a_ik a_jl + a_il a_jk, and the 6x6 Pfaffian (d = 11) is the
+row-0 expansion over the five 4x4 Pfaffians of {1..5}.  Each Pfaffian is
+reduced mod q once, after its signed sum.  The widest unreduced sum is that
+expansion, five products below (q-1)^2 each, so the kernel runs in int32
+while 5 (q-1)^2 < 2^31 (q <= 20725) and in int64 otherwise; primes with
+5 (q-1)^2 >= 2^63 are rejected.
 """
 
 from __future__ import annotations
@@ -15,10 +25,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactnum import nth_root_in_prime_field
+from .exactnum import nth_root_in_prime_field, prime_factors
 from .heisenberg import pminus_chart, s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
+from .pfaffian import SkewMatrix
 from . import golden
 
 CROSS_CHECK_SAMPLES = 512
@@ -46,6 +57,23 @@ def projective_point_count(ncoords: int, q: int) -> int:
     return (q ** ncoords - 1) // (q - 1)
 
 
+def _kernel_dtype(q: int):
+    """int32 when the widest unreduced sum, 5 (q-1)^2, fits; else int64."""
+    return np.int32 if 5 * (q - 1) ** 2 < 2 ** 31 else np.int64
+
+
+def check_scan_prime(d: int, q: int) -> None:
+    """Reject a (d, q) that the census cannot scan exactly."""
+    if d not in (9, 11):
+        raise ValueError("d must be 9 or 11")
+    if 5 * (q - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"q = {q} is too large: 5 (q-1)^2 must fit in int64")
+    if q < 2 or prime_factors(q) != [q]:
+        raise ValueError(f"q = {q} is not prime")
+    if (q - 1) % d != 0:
+        raise ValueError(f"{d} must divide {q}-1 so roots of unity reduce")
+
+
 DEFAULT_BLOCK = 1 << 20
 
 
@@ -59,14 +87,21 @@ def point_blocks(ncoords: int, q: int, block_size: int = DEFAULT_BLOCK):
     for lead in range(ncoords):
         free = ncoords - lead - 1
         total = q ** free
+        dtype = np.int32 if total < 2 ** 31 else np.int64
+        steps = np.arange(min(block_size, total), dtype=dtype)
+        rem = np.empty_like(steps)
+        digit = np.empty_like(steps)
         for start in range(0, total, block_size):
-            stop = min(start + block_size, total)
-            block = np.zeros((stop - start, ncoords), dtype=np.int64)
+            size = min(block_size, total - start)
+            # column-major, so each coordinate is one contiguous array
+            block = np.empty((ncoords, size), dtype=np.int64).T
+            block[:, :lead] = 0
             block[:, lead] = 1
-            rem = np.arange(start, stop, dtype=np.int64)
-            for pos in range(free - 1, -1, -1):
-                block[:, lead + 1 + pos] = rem % q
-                rem //= q
+            r, dig = rem[:size], digit[:size]
+            np.add(steps[:size], start, out=r)
+            for pos in range(ncoords - 1, lead, -1):
+                np.divmod(r, q, out=(r, dig))
+                block[:, pos] = dig
             yield block
 
 
@@ -75,13 +110,6 @@ def canonical_points(ncoords: int, q: int) -> np.ndarray:
     pts = np.concatenate(list(point_blocks(ncoords, q)), axis=0)
     assert pts.shape[0] == projective_point_count(ncoords, q)
     return pts
-
-
-def _single_term_pattern(f: SparsePoly) -> tuple[int, tuple[int, ...]]:
-    (exps, coeff), = f.terms.items()
-    if coeff not in (1, -1):
-        raise ValueError("entry is not a signed monomial")
-    return (1 if coeff == 1 else -1), exps
 
 
 def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
@@ -98,64 +126,81 @@ def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
     return total
 
 
-class _BatchSkew:
-    """Skew matrix whose entries are arrays of values mod q, one per point."""
-
-    def __init__(self, size: int, entries: dict, q: int, npoints: int) -> None:
-        self.size = size
-        self.entries = entries  # (i, j) i<j -> int64 array
-        self.q = q
-        self.npoints = npoints
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        if i < j:
-            return self.entries[(i, j)]
-        return (-self.entries[(j, i)]) % self.q
-
-    def pf_on(self, idx: tuple[int, ...], memo: dict) -> np.ndarray:
-        if not idx:
-            return np.ones(self.npoints, dtype=np.int64)
-        if idx in memo:
-            return memo[idx]
-        i0, rest = idx[0], idx[1:]
-        acc = np.zeros(self.npoints, dtype=np.int64)
-        for t, j in enumerate(rest):
-            term = self.entry(i0, j) * self.pf_on(rest[:t] + rest[t + 1:], memo) % self.q
-            acc = acc + term if t % 2 == 0 else acc - term
-        memo[idx] = acc % self.q
-        return memo[idx]
+def _entry_monomials(matrix: SkewMatrix) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Upper entry (i, j) of the matrix as (sign, a, b): sign * x_a * x_b."""
+    out = {}
+    for (i, j), f in matrix.upper.items():
+        (exps, coeff), = f.terms.items()
+        factors = [v for v, e in enumerate(exps) for _ in range(e)]
+        if coeff not in (1, -1) or len(factors) != 2:
+            raise ValueError("entry is not a signed quadratic monomial")
+        out[(i, j)] = (int(coeff), *factors)
+    return out
 
 
-def _batch_s_matrix(d: int, q: int, pts: np.ndarray) -> _BatchSkew:
-    s = s_matrix(d)
-    entries = {}
-    for (i, j), f in s.upper.items():
-        sign, exps = _single_term_pattern(f)
-        val = np.ones(pts.shape[0], dtype=np.int64)
-        for v, e in enumerate(exps):
-            for _ in range(e):
-                val = val * pts[:, v] % q
-        entries[(i, j)] = (sign * val) % q
-    return _BatchSkew(s.size, entries, q, pts.shape[0])
+def _signed_sum(terms, q: int) -> tuple[int, np.ndarray]:
+    """sum(sign * x * y) mod q, up to an overall sign, with a single reduction.
+
+    Returns (sign, r) with the sum congruent to sign * r; r lies in [0, q).
+    Each product is below (q-1)^2, so the caller bounds the unreduced sum by
+    len(terms) * (q-1)^2 when it picks the dtype of x and y.
+    """
+    (lead, x, y), *rest = terms
+    acc = x * y
+    tmp = np.empty_like(acc)
+    for sign, x, y in rest:
+        np.multiply(x, y, out=tmp)
+        (np.add if sign == lead else np.subtract)(acc, tmp, out=acc)
+    np.remainder(acc, q, out=acc)
+    return lead, acc
 
 
-def _batch_ranks(batch: _BatchSkew) -> np.ndarray:
-    """Rank classification by Pfaffian vanishing; sizes 5 and 6 supported."""
-    n = batch.size
-    memo: dict = {}
-    zero_mask = np.ones(batch.npoints, dtype=bool)
-    for arr in batch.entries.values():
-        zero_mask &= arr == 0
-    # rank <= 2 iff every principal 4x4 Pfaffian vanishes
-    rank2_mask = np.ones(batch.npoints, dtype=bool)
-    for quad in combinations(range(n), 4):
-        rank2_mask &= batch.pf_on(quad, memo) == 0
-    ranks = np.full(batch.npoints, 4, dtype=np.int64)
-    if n % 2 == 0:
-        pf = batch.pf_on(tuple(range(n)), memo)
-        ranks[pf != 0] = 6
-    ranks[rank2_mask] = 2
-    ranks[zero_mask] = 0
+def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
+    """Rank of s_matrix(d) at every row of pts, by Pfaffian vanishing.
+
+    Entries are signed quadratic monomials; their values x_a * x_b % q are
+    computed once and their signs stay symbolic.  Principal 4x4 Pfaffians
+    use the closed form a_ij a_kl - a_ik a_jl + a_il a_jk; the 6x6 Pfaffian
+    (d = 11) is the row-0 expansion over the 4x4 Pfaffians of {1..5}.
+    """
+    matrix = s_matrix(d)
+    n = matrix.size
+    dtype = _kernel_dtype(q)
+    cols = [pts[:, v].astype(dtype) for v in range(pts.shape[1])]
+    sign, val = {}, {}
+    for (i, j), (s, a, b) in _entry_monomials(matrix).items():
+        val[i, j] = cols[a] * cols[b]
+        np.remainder(val[i, j], q, out=val[i, j])
+        sign[i, j] = s
+
+    def pf4(quad, rows=slice(None)):
+        i, j, k, l = quad
+        terms = [(1, (i, j), (k, l)), (-1, (i, k), (j, l)), (1, (i, l), (j, k))]
+        return _signed_sum([(s * sign[e] * sign[f], val[e][rows], val[f][rows])
+                            for s, e, f in terms], q)
+
+    quads = list(combinations(range(n), 4))
+    # the 6x6 expansion needs the 4x4 Pfaffians of {1..5} at every point
+    minors = {quad: pf4(quad) for quad in quads if n == 6 and 0 not in quad}
+    # rank <= 2 iff every principal 4x4 Pfaffian vanishes; each one the
+    # expansion does not need is evaluated only where all before it vanish
+    low = np.arange(pts.shape[0])
+    if minors:
+        low = np.flatnonzero(np.logical_and.reduce([pf == 0 for _, pf in minors.values()]))
+    for quad in quads:
+        if quad not in minors:
+            low = low[pf4(quad, low)[1] == 0]
+    ranks = np.full(pts.shape[0], 4, dtype=np.int8)
+    if n == 6:
+        expansion = []
+        for j in range(1, 6):
+            minor_sign, minor = minors[tuple(k for k in range(1, 6) if k != j)]
+            expansion.append(((-1) ** (j - 1) * sign[0, j] * minor_sign, val[0, j], minor))
+        ranks[_signed_sum(expansion, q)[1] != 0] = 6
+    ranks[low] = 2
+    # rank 0 needs every entry to vanish too
+    zero = np.logical_and.reduce([arr[low] == 0 for arr in val.values()])
+    ranks[low[zero]] = 0
     return ranks
 
 
@@ -171,10 +216,7 @@ def rank_at_point(d: int, q: int, point) -> int:
 
 
 def scan_strata(d: int, q: int, block_size: int = DEFAULT_BLOCK) -> StratumCensus:
-    if d not in (9, 11):
-        raise ValueError("d must be 9 or 11")
-    if (q - 1) % d != 0:
-        raise ValueError(f"{d} must divide {q}-1 so roots of unity reduce")
+    check_scan_prime(d, q)
     ncoords = (d - 1) // 2
     total = projective_point_count(ncoords, q)
     step = max(1, total // CROSS_CHECK_SAMPLES)  # global, partition-independent
@@ -186,10 +228,10 @@ def scan_strata(d: int, q: int, block_size: int = DEFAULT_BLOCK) -> StratumCensu
     collected: dict[int, list] = {0: [], 2: []}
     offset = 0
     for pts in point_blocks(ncoords, q, block_size):
-        batch = _batch_s_matrix(d, q, pts)
-        ranks = _batch_ranks(batch)
+        ranks = _batch_ranks(d, q, pts)
+        by_rank = np.bincount(ranks, minlength=7)
         for r in possible:
-            counts[r] += int(np.count_nonzero(ranks == r))
+            counts[r] += int(by_rank[r])
         for r in collected:
             for row in pts[ranks == r]:
                 collected[r].append(tuple(int(c) for c in row))
@@ -212,7 +254,7 @@ def scan_strata(d: int, q: int, block_size: int = DEFAULT_BLOCK) -> StratumCensu
         min_points = tuple(
             tuple(int(c) for c in row)
             for pts in point_blocks(ncoords, q, block_size)
-            for row in pts[_batch_ranks(_batch_s_matrix(d, q, pts)) == min_rank]
+            for row in pts[_batch_ranks(d, q, pts) == min_rank]
         )
     return StratumCensus(d=d, q=q, counts=counts, min_rank=min_rank,
                          min_rank_points=min_points)
@@ -220,11 +262,9 @@ def scan_strata(d: int, q: int, block_size: int = DEFAULT_BLOCK) -> StratumCensu
 
 def find_stratum_point(d: int, q: int, target_rank: int) -> ProjPoint | None:
     """First canonical point (scan order) whose matrix has the target rank."""
-    if (q - 1) % d != 0:
-        raise ValueError(f"{d} must divide {q}-1")
+    check_scan_prime(d, q)
     for pts in point_blocks((d - 1) // 2, q):
-        batch = _batch_s_matrix(d, q, pts)
-        ranks = _batch_ranks(batch)
+        ranks = _batch_ranks(d, q, pts)
         hits = np.nonzero(ranks == target_rank)[0]
         if hits.size:
             row = pts[hits[0]]

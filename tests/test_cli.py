@@ -28,6 +28,19 @@ def test_config_validation():
     RunConfig().validate()
 
 
+@pytest.mark.parametrize("field,q", [("scan_prime_d9", 28), ("scan_prime_d9", 10),
+                                     ("scan_prime_d11", 45), ("scan_prime_d9", 1358187949)])
+def test_config_rejects_unscannable_prime(field, q):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: q}).validate()
+
+
+@pytest.mark.parametrize("prime", ["28", "10"])
+def test_scan_composite_prime_is_usage_error(prime, capsys):
+    assert main(["scan", "--d", "9", "--prime", prime]) == 2
+    assert "not prime" in capsys.readouterr().err
+
+
 def test_d9_suite_passes():
     reports = run_suite("d9")
     assert reports
@@ -134,6 +147,8 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     config.write_text("nonsense_key = 1\n")
     assert main(["verify", "--config", str(config)]) == 2
     config.write_text("scan_prime_d9 = 20\n")
+    assert main(["verify", "--config", str(config)]) == 2
+    config.write_text("scan_prime_d9 = 28\n")
     assert main(["verify", "--config", str(config)]) == 2
     config.write_text("scan_prime_d9\n")
     assert main(["verify", "--config", str(config)]) == 2

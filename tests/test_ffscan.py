@@ -1,7 +1,15 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisencheck.ffscan import (
+    _batch_ranks,
+    _kernel_dtype,
+    _signed_sum,
     canonical_points,
+    check_scan_prime,
     census_csv,
     ci_curve_points_d9,
     find_stratum_point,
@@ -12,6 +20,7 @@ from heisencheck.ffscan import (
     scan_strata,
     special_points_d9_mod,
 )
+from heisencheck.heisenberg import s_matrix
 
 
 def test_canonical_points_cover_projective_space():
@@ -32,6 +41,26 @@ def test_scan_requires_compatible_prime():
         scan_strata(11, 19)
     with pytest.raises(ValueError):
         scan_strata(7, 29)
+
+
+@pytest.mark.parametrize("d,q", [(9, 10), (9, 28), (9, 1), (9, -8), (11, 12), (11, 45)])
+def test_scan_rejects_composite_q(d, q):
+    with pytest.raises(ValueError, match="not prime"):
+        scan_strata(d, q)
+    with pytest.raises(ValueError, match="not prime"):
+        find_stratum_point(d, q, 2)
+
+
+@pytest.mark.parametrize("d,ok,too_large", [(9, 1358187913, 1358187949),
+                                            (11, 1358186941, 1358188063)])
+def test_scan_rejects_q_beyond_int64_kernel(d, ok, too_large):
+    check_scan_prime(d, ok)
+    with pytest.raises(ValueError, match="too large"):
+        check_scan_prime(d, too_large)
+    with pytest.raises(ValueError, match="too large"):
+        scan_strata(d, too_large)
+    with pytest.raises(ValueError, match="too large"):
+        find_stratum_point(d, too_large, 4)
 
 
 def test_census_d9_q19():
@@ -80,14 +109,109 @@ def test_census_d9_larger_prime():
     assert rank2 == ci_curve_points_d9(37) | special_points_d9_mod(37)
 
 
+class _BatchSkew:
+    """Slow-path oracle: the generic memoized Pfaffian recursion, on arrays."""
+
+    def __init__(self, size: int, entries: dict, q: int, npoints: int) -> None:
+        self.size = size
+        self.entries = entries  # (i, j) i<j -> int64 array
+        self.q = q
+        self.npoints = npoints
+
+    def entry(self, i: int, j: int) -> np.ndarray:
+        if i < j:
+            return self.entries[(i, j)]
+        return (-self.entries[(j, i)]) % self.q
+
+    def pf_on(self, idx: tuple[int, ...], memo: dict) -> np.ndarray:
+        if not idx:
+            return np.ones(self.npoints, dtype=np.int64)
+        if idx in memo:
+            return memo[idx]
+        i0, rest = idx[0], idx[1:]
+        acc = np.zeros(self.npoints, dtype=np.int64)
+        for t, j in enumerate(rest):
+            term = self.entry(i0, j) * self.pf_on(rest[:t] + rest[t + 1:], memo) % self.q
+            acc = acc + term if t % 2 == 0 else acc - term
+        memo[idx] = acc % self.q
+        return memo[idx]
+
+
+def _oracle_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
+    s = s_matrix(d)
+    entries = {}
+    for (i, j), f in s.upper.items():
+        (exps, coeff), = f.terms.items()
+        val = np.ones(pts.shape[0], dtype=np.int64)
+        for v, e in enumerate(exps):
+            for _ in range(e):
+                val = val * pts[:, v] % q
+        entries[(i, j)] = (int(coeff) * val) % q
+    batch = _BatchSkew(s.size, entries, q, pts.shape[0])
+    memo: dict = {}
+    zero_mask = np.ones(batch.npoints, dtype=bool)
+    for arr in batch.entries.values():
+        zero_mask &= arr == 0
+    rank2_mask = np.ones(batch.npoints, dtype=bool)
+    for quad in combinations(range(s.size), 4):
+        rank2_mask &= batch.pf_on(quad, memo) == 0
+    ranks = np.full(batch.npoints, 4, dtype=np.int64)
+    if s.size % 2 == 0:
+        ranks[batch.pf_on(tuple(range(s.size)), memo) != 0] = 6
+    ranks[rank2_mask] = 2
+    ranks[zero_mask] = 0
+    return ranks
+
+
 def test_batch_ranks_agree_with_elimination():
-    census = scan_strata(11, 23)
-    pts = canonical_points(5, 23)
-    rng_indices = range(0, pts.shape[0], 9973)
-    by_rank = {r: 0 for r in census.counts}
-    for k in rng_indices:
-        by_rank[rank_at_point(11, 23, [int(c) for c in pts[k]])] += 1
-    assert sum(by_rank.values()) == len(list(rng_indices))
+    for d, q in ((9, 19), (9, 37), (11, 23)):
+        pts = canonical_points((d - 1) // 2, q)
+        # the zero vector is no projective point; it exercises rank 0
+        pts = np.vstack([pts, np.zeros_like(pts[:1])])
+        ranks = _batch_ranks(d, q, pts)
+        assert (ranks == _oracle_ranks(d, q, pts)).all()
+        assert set(np.unique(ranks)) == {0, 2, 4} | ({6} if d == 11 else set())
+        for k in [*range(0, pts.shape[0], 997), pts.shape[0] - 1]:
+            assert ranks[k] == rank_at_point(d, q, [int(c) for c in pts[k]])
+
+
+@pytest.mark.parametrize("q,dtype", [(20725, np.int32), (20726, np.int64)])
+def test_kernel_dtype_switch(q, dtype):
+    assert _kernel_dtype(q) is dtype
+    # the widest sum the kernel forms: five products of (q-1)^2, signed
+    big = np.full(3, q - 1, dtype=_kernel_dtype(q))
+    for signs, total in (([1] * 5, 5), ([1, -1, -1, -1, -1], -3)):
+        lead, r = _signed_sum([(s, big, big) for s in signs], q)
+        assert (r == lead * total * (q - 1) ** 2 % q).all()
+
+
+def _canonical_point(q: int, ncoords: int):
+    # zeros are common so that low-rank points turn up
+    coord = st.one_of(st.just(0), st.just(q - 1), st.integers(0, q - 1))
+    return st.integers(0, ncoords - 1).flatmap(
+        lambda lead: st.tuples(*[coord] * (ncoords - lead - 1)).map(
+            lambda free: (0,) * lead + (1,) + free))
+
+
+@pytest.mark.parametrize("d,q", [
+    (9, 19), (9, 109), (9, 20719), (9, 20773),
+    (11, 23), (11, 67), (11, 20681), (11, 20747),
+    # the largest primes whose 5 (q-1)^2 still fits in int64
+    (9, 1358187913), (11, 1358186941),
+])
+def test_kernel_matches_elimination_on_random_points(d, q):
+    check_scan_prime(d, q)
+    ncoords = (d - 1) // 2
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(_canonical_point(q, ncoords), min_size=1, max_size=16))
+    def run(points):
+        pts = np.array(points, dtype=np.int64)
+        ranks = _batch_ranks(d, q, pts)
+        assert [int(r) for r in ranks] == [rank_at_point(d, q, list(p)) for p in points]
+        assert (ranks == _oracle_ranks(d, q, pts)).all()
+
+    run()
 
 
 def test_d11_counts_are_consistent():
