@@ -1,9 +1,10 @@
 """The named check suite: every claim the toolkit verifies, as a registry
 of individually runnable checks producing CheckReport records.
 
-Shared constructions (the quadric matrices, the group, the character
-table) are built once per run on the RunContext and reused by every check
-that needs them.
+Shared constructions (the quadric matrices, the kernel maps, the Klein
+matrix, the character table) are lru_cached by the modules that build
+them, and checks call those constructors directly.  The RunContext holds
+the run configuration and the two censuses that depend on it.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .chartab import (
     power_map,
     sym_power_character,
 )
-from .exactnum import CycloNum
+from .exactnum import CycloNum, is_prime
 from .ffscan import (
     check_scan_prime,
     ci_curve_points_d9,
+    evaluate_skew_mod,
     hypersurface_window_d2,
     jacobian_zero_counts,
     projective_point_count,
@@ -47,7 +49,6 @@ from .ffscan import (
 from .grassfano import (
     KLEIN_PF_SIGN,
     PF_SEXTIC_SIGN,
-    PluckerVector,
     golden_sextic,
     jacobian_system,
     klein_cubic,
@@ -133,37 +134,25 @@ class RunConfig:
             raise ValueError("need at least two (lambda : mu) samples")
         if any(lam == 0 and mu == 0 for lam, mu in self.lambda_mu_samples):
             raise ValueError("(0 : 0) is not a point of P^1")
+        for q in self.jacobian_primes:
+            # the factor 2 in the Jacobian quadrics vanishes over F_2
+            if q == 2 or not is_prime(q):
+                raise ValueError(f"jacobian_primes: q = {q} is not an odd prime")
+        if len(self.rank_primes) != 2 or self.rank_primes[0] == self.rank_primes[1]:
+            raise ValueError("rank_primes: need exactly two distinct primes")
+        for p in self.rank_primes:
+            # rank_mod forms products below p^2, which must fit in int64
+            if p >= 2 ** 31:
+                raise ValueError(f"rank_primes: p = {p} is too large: p must be below 2^31")
+            if not is_prime(p):
+                raise ValueError(f"rank_primes: p = {p} is not prime")
 
 
 class RunContext:
-    """Lazily built shared state for one suite run."""
+    """The configuration of one suite run and the censuses it selects."""
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
-
-    @cached_property
-    def s11(self):
-        return s_matrix(11)
-
-    @cached_property
-    def s9(self):
-        return s_matrix(9)
-
-    @cached_property
-    def f6(self):
-        return golden_sextic()
-
-    @cached_property
-    def theta11(self) -> PluckerVector:
-        return theta_plucker_d11()
-
-    @cached_property
-    def klein(self):
-        return klein_from_hyperplanes()
-
-    @cached_property
-    def theta9(self):
-        return theta9_closed_form()
 
     @cached_property
     def census_d9(self):
@@ -178,7 +167,7 @@ class RunContext:
 
 
 def check_d11_matrix_s(ctx: RunContext):
-    s = ctx.s11  # construction already compares against the golden display
+    s = s_matrix(11)  # construction already compares against the golden display
     chart = pminus_chart(11)
     return PASS, {
         "entries": 15,
@@ -212,8 +201,8 @@ def check_d11_subrep_rows(ctx: RunContext):
 
 
 def check_d11_pfaffian_f6(ctx: RunContext):
-    pf = ctx.s11.pfaffian()
-    expected = ctx.f6.scale(PF_SEXTIC_SIGN)
+    pf = s_matrix(11).pfaffian()
+    expected = golden_sextic().scale(PF_SEXTIC_SIGN)
     ok = pf == expected
     return (PASS if ok else FAIL), {
         "recorded_sign": PF_SEXTIC_SIGN,
@@ -224,7 +213,7 @@ def check_d11_pfaffian_f6(ctx: RunContext):
 
 def check_d11_f6_specialize(ctx: RunContext):
     sub = {3: SparsePoly.zero(5), 4: SparsePoly.zero(5)}  # x4 = x5 = 0
-    specialized = ctx.f6.substitute(sub)
+    specialized = golden_sextic().substitute(sub)
     expected = SparsePoly.monomial(5, [0, 0, 1, 2, 2, 2], -1)  # -x1^2 x2 x3^3
     ok = specialized == expected and len(specialized.terms) == 1
     square_free = not _is_perfect_square_monomial(specialized)
@@ -248,7 +237,7 @@ def check_d11_v14_linear(ctx: RunContext):
 
 
 def check_d11_plucker_3term(ctx: RunContext):
-    s = ctx.s11
+    s = s_matrix(11)
     pf = s.pfaffian()
     for quad in itertools.combinations(range(6), 4):
         i, j, k, l = quad
@@ -283,7 +272,7 @@ def check_d11_plucker_decomposable(ctx: RunContext):
     point = list(witness.coords)
     coords = {
         (i, j): poly.evaluate_mod(point, q)
-        for (i, j), poly in ctx.theta11.coords.items()
+        for (i, j), poly in theta_plucker_d11().coords.items()
     }
     residues = [
         (coords[(i, j)] * coords[(k, l)]
@@ -299,11 +288,7 @@ def check_d11_plucker_decomposable(ctx: RunContext):
         for i in range(1, 7)
     ]
     rank2 = rank_gauss_mod(pmat, q) == 2
-    s_rows = [
-        [ctx.s11.entry(i, j).evaluate_mod(point, q) if ctx.s11.entry(i, j) else 0
-         for j in range(6)]
-        for i in range(6)
-    ]
+    s_rows = evaluate_skew_mod(s_matrix(11), point, q)
     kills = all(
         sum(row[i] * s_rows[i][j] for i in range(6)) % q == 0
         for row in pmat
@@ -320,7 +305,7 @@ def check_d11_plucker_decomposable(ctx: RunContext):
 
 
 def check_klein_pfaffian(ctx: RunContext):
-    M, B = ctx.klein
+    M, B = klein_from_hyperplanes()
     expected = golden.load_matrix("klein_matrix.txt", [f"x{i}" for i in range(5)])
     matrix_ok = M.rows() == expected
     pf_ok = B == klein_cubic().scale(KLEIN_PF_SIGN)
@@ -333,7 +318,7 @@ def check_klein_pfaffian(ctx: RunContext):
 
 
 def check_klein_adjugate(ctx: RunContext):
-    M, _ = ctx.klein
+    M, _ = klein_from_hyperplanes()
     adj = M.adjugate()
     expected = golden.load_matrix("klein_adjugate.txt", [f"x{i}" for i in range(5)])
     ok = adj.rows() == expected
@@ -361,7 +346,7 @@ def check_klein_jacobian(ctx: RunContext):
 
 
 def check_d9_matrix_s(ctx: RunContext):
-    s = ctx.s9
+    s = s_matrix(9)
     chart = pminus_chart(9)
     return PASS, {
         "entries": 10,
@@ -390,9 +375,9 @@ def check_d9_moore_z0(ctx: RunContext):
 
 
 def check_d9_theta_closedform(ctx: RunContext):
-    theta = ctx.theta9
+    theta = theta9_closed_form()
     v0_plus_v3 = theta[0] + theta[3]
-    product = ctx.s9.times_vector(list(theta))
+    product = s_matrix(9).times_vector(list(theta))
     annihilates = all(p.is_zero() for p in product)
     ok = v0_plus_v3.is_zero() and annihilates
     return (PASS if ok else FAIL), {
@@ -404,7 +389,7 @@ def check_d9_theta_closedform(ctx: RunContext):
 
 def check_d9_theta_z0(ctx: RunContext):
     chart_point = restrict_point_d9([Fraction(c) for c in Z0_FULL])
-    image = ctx.theta9.evaluate(chart_point)
+    image = theta9_closed_form().evaluate(chart_point)
     nonzero = [i for i, v in enumerate(image) if v]
     ok = nonzero == [1]
     return (PASS if ok else FAIL), {
@@ -434,7 +419,7 @@ def check_d9_theta_fourpoints(ctx: RunContext):
     results = {}
     for idx, P in enumerate(special_points_d9(), start=1):
         chart_point = restrict_point_d9(P)
-        values = ctx.theta9.evaluate(chart_point)
+        values = theta9_closed_form().evaluate(chart_point)
         results[f"P{idx}"] = all(not v for v in values)
     ok = all(results.values())
     return (PASS if ok else FAIL), {"all_coordinates_vanish": results}
@@ -534,7 +519,7 @@ def check_hilbert_flatness(ctx: RunContext):
     def sampler(lam, mu):
         return j_family(lam, mu).generators()
 
-    flat, profiles = flatness_evidence(sampler, samples, t_max)
+    flat, profiles = flatness_evidence(sampler, samples, t_max, ctx.config.rank_primes)
     target = abelian_surface_profile(t_max)
     matches_target = all(p == target for p in profiles.values())
     ok = flat and matches_target
@@ -547,7 +532,7 @@ def check_hilbert_flatness(ctx: RunContext):
 
 def check_hilbert_cubicgap(ctx: RunContext):
     # a kernel-map image away from the degeneration locus
-    v = ctx.theta9.evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
+    v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
     generic = graded_hilbert(v_dot_R4(v), 9, 3, ctx.config.rank_primes)
     monomial_fiber = graded_hilbert(v_dot_R4([0, 1, 0, 0, 0]), 9, 3, ctx.config.rank_primes)
     deficit = generic[3] - 81

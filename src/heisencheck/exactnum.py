@@ -2,8 +2,9 @@
 
 Elements of Q(xi_n) are stored on the power basis 1, t, ..., t^(phi(n)-1)
 of Q[t]/(Phi_n(t)), so equality is coefficient-wise and every value has a
-unique normal form.  Orders used downstream are n in {9, 11, 55}, but the
-code is generic in n.
+unique normal form.  Orders used downstream are n in {9, 11, 55}; the
+code is generic in n: a coefficient list of any length is folded mod n and
+then reduced mod Phi_n.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division, through prime_factors."""
+    return n >= 2 and prime_factors(n) == [n]
+
+
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
     """Quotient of exact division of integer polynomials (den monic)."""
     num = list(num)
@@ -72,14 +78,14 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """t^k mod Phi_n for k = 0 .. 2*phi(n)-2, as coefficient rows."""
+def _root_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """xi_n^k on the power basis for k = 0 .. n-1, as coefficient rows."""
     phi = euler_phi(n)
     Phi = cyclotomic_polynomial(n)
     rows = []
     current = [_ZERO] * phi
     current[0] = _ONE
-    for _ in range(2 * phi - 1):
+    for _ in range(n):
         rows.append(tuple(current))
         # multiply by t, then reduce the overflow coefficient
         top = current[phi - 1]
@@ -91,11 +97,16 @@ def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """Normal form of sum_k coeffs[k] t^k: fold exponents mod n, then mod Phi_n."""
     phi = euler_phi(n)
-    table = _power_table(n)
-    out = list(coeffs[:phi]) + [_ZERO] * max(0, phi - len(coeffs))
-    for k in range(phi, len(coeffs)):
-        c = coeffs[k]
+    folded = list(coeffs[:n]) + [_ZERO] * max(0, n - len(coeffs))
+    for k in range(n, len(coeffs)):
+        if coeffs[k]:
+            folded[k % n] += coeffs[k]
+    out = folded[:phi]
+    table = _root_table(n)
+    for k in range(phi, n):
+        c = folded[k]
         if c:
             row = table[k]
             for j in range(phi):
@@ -136,10 +147,7 @@ class CycloNum:
     @classmethod
     def root(cls, order: int, power: int = 1) -> "CycloNum":
         """xi_order ** power, reduced."""
-        k = power % order
-        coeffs = [_ZERO] * (k + 1)
-        coeffs[k] = _ONE
-        return cls(order, coeffs)
+        return cls(order, _root_table(order)[power % order])
 
     # -- predicates -------------------------------------------------------
 
@@ -244,13 +252,9 @@ class CycloNum:
     def conjugate(self) -> "CycloNum":
         """Complex conjugation, xi -> xi^(-1)."""
         n = self.order
-        phi = euler_phi(n)
-        out = [_ZERO] * phi
+        out = [_ZERO] * n
         for k, c in enumerate(self.coeffs):
-            if c:
-                row = _xi_power_row(n, (-k) % n)
-                for j in range(phi):
-                    out[j] += c * row[j]
+            out[-k % n] = c
         return CycloNum(n, out)
 
     # -- comparisons ------------------------------------------------------
@@ -280,18 +284,6 @@ class CycloNum:
                 parts.append(f"{c}*z^{k}" if c != 1 else f"z^{k}")
         body = " + ".join(parts) if parts else "0"
         return f"CycloNum({self.order}, {body})"
-
-
-@lru_cache(maxsize=None)
-def _xi_power_row(n: int, k: int) -> tuple[Fraction, ...]:
-    """Coefficients of xi_n^k on the power basis."""
-    phi = euler_phi(n)
-    k %= n
-    if k < 2 * phi - 1:
-        return _power_table(n)[k]
-    coeffs = [_ZERO] * (k + 1)
-    coeffs[k] = _ONE
-    return _reduce(n, coeffs)
 
 
 def _trim(poly):
@@ -338,11 +330,10 @@ def embed(a: CycloNum, target_order: int) -> CycloNum:
     if target_order % m != 0:
         raise ValueError(f"order {m} does not divide {target_order}")
     step = target_order // m
-    result = CycloNum.zero(target_order)
+    out = [_ZERO] * target_order
     for k, c in enumerate(a.coeffs):
-        if c:
-            result = result + c * CycloNum.root(target_order, k * step)
-    return result
+        out[k * step] = c
+    return CycloNum(target_order, out)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -357,9 +348,7 @@ def quadratic_gauss_sum(p: int, target_order: int | None = None) -> CycloNum:
 
     Optionally embedded into Q(xi_target_order).
     """
-    g = CycloNum.zero(p)
-    for a in range(1, p):
-        g = g + legendre_symbol(a, p) * CycloNum.root(p, a)
+    g = CycloNum(p, [legendre_symbol(a, p) for a in range(p)])
     if target_order is not None:
         g = embed(g, target_order)
     return g

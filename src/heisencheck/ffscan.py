@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactnum import nth_root_in_prime_field, prime_factors
+from .exactnum import is_prime, nth_root_in_prime_field
 from .heisenberg import pminus_chart, s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
@@ -68,7 +68,7 @@ def check_scan_prime(d: int, q: int) -> None:
         raise ValueError("d must be 9 or 11")
     if 5 * (q - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"q = {q} is too large: 5 (q-1)^2 must fit in int64")
-    if q < 2 or prime_factors(q) != [q]:
+    if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if (q - 1) % d != 0:
         raise ValueError(f"{d} must divide {q}-1 so roots of unity reduce")
@@ -204,15 +204,20 @@ def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def evaluate_skew_mod(matrix: SkewMatrix, point, q: int) -> list[list[int]]:
+    """Full matrix of values mod q at one point; each upper entry is evaluated
+    once and the lower triangle is its negative."""
+    rows = [[0] * matrix.size for _ in range(matrix.size)]
+    for (i, j), f in matrix.upper.items():
+        v = f.evaluate_mod(point, q)
+        rows[i][j] = v
+        rows[j][i] = (-v) % q
+    return rows
+
+
 def rank_at_point(d: int, q: int, point) -> int:
     """Exact elimination rank of the quadric matrix at one point."""
-    s = s_matrix(d)
-    rows = [
-        [s.entry(i, j).evaluate_mod(point, q) if s.entry(i, j) else 0
-         for j in range(s.size)]
-        for i in range(s.size)
-    ]
-    return rank_gauss_mod(rows, q)
+    return rank_gauss_mod(evaluate_skew_mod(s_matrix(d), point, q), q)
 
 
 def scan_strata(d: int, q: int, block_size: int = DEFAULT_BLOCK) -> StratumCensus:

@@ -7,13 +7,11 @@ the row labels of the 6x6 quadric matrix (row i of the matrix is label i).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from . import golden
 from .heisenberg import s_matrix
-from .linalg import rank_fraction, rank_gauss_mod
 from .mpoly import SparsePoly, divide_exact
 from .pfaffian import SkewMatrix
 
@@ -44,68 +42,6 @@ class PluckerVector:
             return self.coords.get((i, j), 0)
         v = self.coords.get((j, i), 0)
         return -v if v else 0
-
-    def pairs(self):
-        n = 2 * self.m
-        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-    def three_term_residues(self) -> dict:
-        """p_ij p_kl - p_ik p_jl + p_il p_jk for every i<j<k<l."""
-        out = {}
-        for i, j, k, l in itertools.combinations(range(1, 2 * self.m + 1), 4):
-            out[(i, j, k, l)] = (
-                self[i, j] * self[k, l] - self[i, k] * self[j, l] + self[i, l] * self[j, k]
-            )
-        return out
-
-    def is_decomposable(self) -> bool:
-        return all(not r for r in self.three_term_residues().values())
-
-    def to_skew_matrix(self) -> SkewMatrix:
-        n = 2 * self.m
-        return SkewMatrix(n, {(i - 1, j - 1): v for (i, j), v in self.coords.items() if v})
-
-
-def plucker_from_span(rows: list[list]) -> PluckerVector:
-    """Plucker coordinates p_ij = a_i b_j - a_j b_i of a 2 x 2m span."""
-    if len(rows) != 2:
-        raise ValueError("need exactly two spanning rows")
-    a, b = rows
-    n = len(a)
-    if n != len(b) or n % 2:
-        raise ValueError("rows must have equal even length")
-    coords = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords[(i + 1, j + 1)] = a[i] * b[j] - a[j] * b[i]
-    return PluckerVector(n // 2, coords)
-
-
-def span_from_plucker(p: PluckerVector) -> list[list]:
-    """Two independent rows of the rank-2 skew matrix (p_ij)."""
-    rows = p.to_skew_matrix().rows()
-    first = next((r for r in rows if any(r)), None)
-    if first is None:
-        raise ValueError("zero Plucker vector")
-    for r in rows:
-        if any(r):
-            test = rank_fraction([list(map(Fraction, first)), list(map(Fraction, r))])
-            if test == 2:
-                return [first, r]
-    raise ValueError("Plucker matrix has rank < 2")
-
-
-def rank_stratum(H, q: int | None = None) -> int:
-    """Smallest k with rank(H) <= 2k; returns 0 exactly for the zero matrix."""
-    if isinstance(H, SkewMatrix):
-        rows = H.rows()
-    else:
-        rows = [list(r) for r in H]
-    if q is not None:
-        rank = rank_gauss_mod([[int(x) for x in r] for r in rows], q)
-    else:
-        rank = rank_fraction([[Fraction(x) for x in r] for r in rows])
-    return (rank + 1) // 2
 
 
 # -- the kernel map in Plucker coordinates -------------------------------------

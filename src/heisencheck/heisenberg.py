@@ -57,21 +57,6 @@ def iota(f: SparsePoly, d: int) -> SparsePoly:
     return SparsePoly(d, out)
 
 
-def apply_group(f: SparsePoly, word: str, d: int) -> SparsePoly:
-    """Apply a word over {s, t, i}; leftmost letter acts last (outermost)."""
-    result = f
-    for letter in reversed(word.replace(" ", "")):
-        if letter == "s":
-            result = sigma(result, d)
-        elif letter == "t":
-            result = tau(result, d)
-        elif letter == "i":
-            result = iota(result, d)
-        else:
-            raise ValueError(f"unknown group letter {letter!r}")
-    return result
-
-
 def build_R(d: int) -> list[list[SparsePoly]]:
     """The (d+1)/2 x d matrix with entry (i, j) = x_(j+i) * x_(j-i)."""
     if d % 2 == 0 or d < 3:

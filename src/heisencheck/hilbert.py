@@ -84,9 +84,6 @@ class SimplicialComplex:
                 counts[len(f) - 1] += 1
         return tuple(counts)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * c for i, c in enumerate(self.face_vector()))
-
     def faces_of_dimension(self, dim: int) -> list[frozenset]:
         return sorted((f for f in self.faces if len(f) == dim + 1), key=sorted)
 
@@ -189,14 +186,19 @@ def graded_hilbert(
     return values
 
 
-def flatness_evidence(family_sampler, samples, t_max: int) -> tuple[bool, dict]:
+def flatness_evidence(
+    family_sampler,
+    samples,
+    t_max: int,
+    primes: tuple[int, int] = RANK_PRIMES,
+) -> tuple[bool, dict]:
     """Degree-by-degree Hilbert agreement across sampled family members."""
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     profiles = {}
     for lam, mu in samples:
         gens = family_sampler(lam, mu)
-        profiles[f"{lam}:{mu}"] = graded_hilbert(gens, 9, t_max)
+        profiles[f"{lam}:{mu}"] = graded_hilbert(gens, 9, t_max, primes)
     reference = next(iter(profiles.values()))
     flat = all(p == reference for p in profiles.values())
     return flat, profiles

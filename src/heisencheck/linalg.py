@@ -35,26 +35,6 @@ def rank_fraction(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    mat = [list(map(Fraction, r)) for r in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                f = mat[r][col] * inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return det
-
-
 def rank_mod(matrix: np.ndarray, p: int) -> int:
     """Rank over F_p; entries and intermediates stay below int64 overflow."""
     A = np.array(matrix, dtype=np.int64, copy=True) % p
@@ -76,12 +56,6 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
             A[r + 1:, c:] = (A[r + 1:, c:] - factors * A[r:r + 1, c:]) % p
         r += 1
     return r
-
-
-def rank_int_rows_mod(rows: list[list[int]], p: int) -> int:
-    if not rows:
-        return 0
-    return rank_mod(np.array(rows, dtype=np.int64), p)
 
 
 def rank_gauss_mod(rows: list[list[int]], q: int) -> int:

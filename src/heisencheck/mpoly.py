@@ -107,13 +107,6 @@ class SparsePoly:
     def coefficient(self, exps) -> object:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def is_term(self) -> bool:
-        return len(self.terms) == 1
-
-    def is_monomial(self) -> bool:
-        """Single term with coefficient 1."""
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
     def monic(self) -> "SparsePoly":
         if not self.terms:
             return self
@@ -246,16 +239,6 @@ class SparsePoly:
             result = result + term
         return result
 
-    def permute_variables(self, perm) -> "SparsePoly":
-        """Relabel x_i -> x_perm[i]; perm must be a bijection on indices."""
-        out = {}
-        for exps, c in self.terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            out[tuple(new)] = c
-        return SparsePoly(self.nvars, out)
-
     def evaluate(self, point) -> object:
         """Exact value at a point of field elements (Fraction or CycloNum)."""
         point = list(point)
@@ -289,18 +272,6 @@ class SparsePoly:
                     c = c * pow(int(x) % q, e, q) % q
             total = (total + c) % q
         return total
-
-    def map_coefficients(self, fn) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
-    def derivative(self, i: int) -> "SparsePoly":
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i]:
-                new = list(exps)
-                new[i] -= 1
-                out[tuple(new)] = c * exps[i]
-        return SparsePoly(self.nvars, out)
 
     def __str__(self) -> str:
         return render_poly(self)

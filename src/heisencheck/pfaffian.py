@@ -68,18 +68,6 @@ class SkewMatrix:
     def rows(self) -> list[list]:
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 
-    def map_entries(self, fn) -> "SkewMatrix":
-        return SkewMatrix(self.size, {k: fn(v) for k, v in self.upper.items()})
-
-    def principal_submatrix(self, indices: Iterable[int]) -> "SkewMatrix":
-        idx = sorted(indices)
-        pos = {v: k for k, v in enumerate(idx)}
-        upper = {}
-        for (i, j), v in self.upper.items():
-            if i in pos and j in pos:
-                upper[(pos[i], pos[j])] = v
-        return SkewMatrix(len(idx), upper)
-
     # -- Pfaffians ----------------------------------------------------------
 
     def pf_on(self, indices: tuple[int, ...], _memo=None):
@@ -153,21 +141,6 @@ class SkewMatrix:
             for i in range(self.size)
         ]
 
-    def times_matrix(self, other: "SkewMatrix") -> list[list]:
-        """Full product self @ other as row lists."""
-        n = self.size
-        return [
-            [
-                sum_entries(
-                    self.entry(i, k) * other.entry(k, j)
-                    for k in range(n)
-                    if self.entry(i, k) and other.entry(k, j)
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
 
 def sum_entries(items) -> object:
     total = 0
@@ -183,15 +156,3 @@ def random_skew(size: int, rng, bound: int = 9) -> SkewMatrix:
         for j in range(i + 1, size):
             upper[(i, j)] = Fraction(rng.randint(-bound, bound))
     return SkewMatrix(size, upper)
-
-
-def rank2_plucker_matrix(a: list, b: list) -> SkewMatrix:
-    """The rank-<=2 skew matrix (a_i b_j - a_j b_i)."""
-    n = len(a)
-    upper = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = a[i] * b[j] - a[j] * b[i]
-            if v:
-                upper[(i, j)] = v
-    return SkewMatrix(n, upper)

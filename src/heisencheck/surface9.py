@@ -193,22 +193,28 @@ class JFamilyIdeal:
         return Ideal(9, self.generators())
 
 
-def j2_monomials() -> list[SparsePoly]:
+@lru_cache(maxsize=None)
+def _j_ideal_sections() -> dict[str, tuple[SparsePoly, ...]]:
+    """The generator sections of j_ideals_d9.txt, each parsed once."""
     sections = golden.load_sections("j_ideals_d9.txt")
-    return [golden.parse_poly(line, X9_VARIABLES) for line in sections["J2"]]
+    return {
+        name: tuple(golden.parse_poly(line, X9_VARIABLES) for line in lines)
+        for name, lines in sections.items()
+    }
+
+
+def j2_monomials() -> list[SparsePoly]:
+    return list(_j_ideal_sections()["J2"])
 
 
 def j1_generators() -> list[SparsePoly]:
-    sections = golden.load_sections("j_ideals_d9.txt")
-    lines = sections["J2"] + sections["J1_EXTRA"]
-    return [golden.parse_poly(line, X9_VARIABLES) for line in lines]
+    sections = _j_ideal_sections()
+    return list(sections["J2"] + sections["J1_EXTRA"])
 
 
 def i0_generators() -> list[SparsePoly]:
-    sections = golden.load_sections("j_ideals_d9.txt")
-    gens = [golden.parse_poly(line, X9_VARIABLES) for line in sections["J2"]]
-    gens += [golden.parse_poly(line, X9_VARIABLES) for line in sections["I0_TRINOMIALS"]]
-    return gens
+    sections = _j_ideal_sections()
+    return list(sections["J2"] + sections["I0_TRINOMIALS"])
 
 
 def family_trinomial(i: int, lam, mu) -> SparsePoly:

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from heisencheck.checks import CheckReport, RunConfig, run_suite, exit_code
+from heisencheck import hilbert
+from heisencheck.checks import (
+    CheckReport,
+    RunConfig,
+    RunContext,
+    check_hilbert_flatness,
+    exit_code,
+    run_suite,
+)
 from heisencheck.cli import main, render_report
 
 
@@ -33,6 +41,36 @@ def test_config_validation():
 def test_config_rejects_unscannable_prime(field, q):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: q}).validate()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("jacobian_primes", (9, 15), "not an odd prime"),
+    ("jacobian_primes", (2,), "not an odd prime"),
+    ("jacobian_primes", (3, 1), "not an odd prime"),
+    ("rank_primes", (4, 6), "not prime"),
+    ("rank_primes", (1073741789, 1073741789), "two distinct primes"),
+    ("rank_primes", (1073741789,), "two distinct primes"),
+    ("rank_primes", (1073741789, 2147483659), "too large"),
+])
+def test_config_rejects_bad_primes(field, value, message):
+    with pytest.raises(ValueError, match=f"{field}: .*{message}"):
+        RunConfig(**{field: value}).validate()
+
+
+def test_flatness_runs_with_the_configured_rank_primes(monkeypatch):
+    seen = []
+    graded = hilbert.graded_hilbert
+
+    def spy(generators, nvars, t_max, primes=hilbert.RANK_PRIMES):
+        seen.append(primes)
+        return graded(generators, nvars, t_max, primes)
+
+    monkeypatch.setattr(hilbert, "graded_hilbert", spy)
+    config = RunConfig(t_max=3, rank_primes=(1000003, 999983))
+    status, details = check_hilbert_flatness(RunContext(config))
+    assert status == "pass"
+    assert details["rank_primes"] == [1000003, 999983]
+    assert seen and set(seen) == {(1000003, 999983)}
 
 
 @pytest.mark.parametrize("prime", ["28", "10"])
@@ -153,6 +191,12 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     config.write_text("scan_prime_d9\n")
     assert main(["verify", "--config", str(config)]) == 2
     assert "config error" in capsys.readouterr().err
+    for line in ("jacobian_primes = 9,15", "jacobian_primes = 2", "rank_primes = 4,6",
+                 "rank_primes = 1073741789,1073741789",
+                 "rank_primes = 1073741789,2147483659"):
+        config.write_text(line + "\n")
+        assert main(["verify", "--config", str(config)]) == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
 
 
 def test_scan_subcommand(tmp_path, capsys):

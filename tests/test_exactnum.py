@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisencheck.exactnum import (
     CycloNum,
@@ -151,3 +152,26 @@ def test_nth_root_exhaustive_oracle(n, q):
 
 def test_legendre_symbol():
     assert [legendre_symbol(a, 11) for a in range(1, 11)] == [1, -1, 1, 1, 1, -1, -1, -1, 1, -1]
+
+
+def elements(n: int):
+    # lists longer than phi(n), up to 2n + 1, exercise the fold mod n
+    return st.lists(st.integers(-3, 3), max_size=2 * n + 1).map(lambda cs: CycloNum(n, cs))
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_field_axioms_every_order(n):
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(elements(n), elements(n), elements(n),
+           st.integers(0, 2 * n - 1), st.integers(0, 2 * n - 1))
+    def run(a, b, c, j, k):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        if a:
+            assert a * a.inverse() == 1
+        assert CycloNum.root(n, j) * CycloNum.root(n, k) == CycloNum.root(n, j + k)
+        assert a.conjugate().conjugate() == a
+        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+    run()

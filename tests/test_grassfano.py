@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 from heisencheck import golden
@@ -11,61 +10,23 @@ from heisencheck.grassfano import (
     jacobian_system,
     klein_cubic,
     klein_from_hyperplanes,
-    plucker_from_span,
-    rank_stratum,
-    span_from_plucker,
     theta_plucker_d11,
     v14_relation_residues,
     v14_relations_hold,
 )
-from heisencheck.heisenberg import s_matrix
+from heisencheck.heisenberg import s_matrix, sigma
 from heisencheck.linalg import rank_fraction
 from heisencheck.mpoly import SparsePoly, divide_exact
-from heisencheck.pfaffian import rank2_plucker_matrix
 
 X5 = [f"x{k}" for k in range(1, 6)]
 
 
-def test_plucker_from_unit_span():
-    rows = [[Fraction(1), 0, 0, 0, 0, 0], [0, Fraction(1), 0, 0, 0, 0]]
-    p = plucker_from_span(rows)
-    assert p[1, 2] == 1
-    assert all(p[i, j] == 0 for i, j in p.pairs() if (i, j) != (1, 2))
-
-
-def test_plucker_degenerate_span_is_zero():
-    row = [Fraction(1), Fraction(2), 0, 0, 0, 0]
-    p = plucker_from_span([row, row])
-    assert all(p[i, j] == 0 for i, j in p.pairs())
-
-
-def test_random_spans_satisfy_three_term_relations():
-    rng = random.Random(23)
-    for _ in range(100):
-        rows = [[Fraction(rng.randint(-9, 9)) for _ in range(6)] for _ in range(2)]
-        p = plucker_from_span(rows)
-        assert p.is_decomposable()
-        if any(v for v in p.coords.values()):
-            back = span_from_plucker(p)
-            stacked = [list(map(Fraction, r)) for r in rows + back]
-            assert rank_fraction(stacked) == 2
-
-
-def test_rank_strata():
-    zero = [[Fraction(0)] * 6 for _ in range(6)]
-    assert rank_stratum(zero) == 0
-    rng = random.Random(77)
-    a = [Fraction(rng.randint(-5, 5)) for _ in range(6)]
-    b = [Fraction(rng.randint(-5, 5)) for _ in range(6)]
-    single = rank2_plucker_matrix(a, b)
-    assert rank_stratum(single) == 1
-    c = [Fraction(rng.randint(-5, 5)) for _ in range(6)]
-    d = [Fraction(rng.randint(-5, 5)) for _ in range(6)]
-    double = [
-        [single.entry(i, j) + rank2_plucker_matrix(c, d).entry(i, j) for j in range(6)]
-        for i in range(6)
-    ]
-    assert rank_stratum(double) == 2
+def partial(f: SparsePoly, i: int) -> SparsePoly:
+    """d f / d x_i."""
+    return SparsePoly(f.nvars, {
+        tuple(e - (k == i) for k, e in enumerate(exps)): c * exps[i]
+        for exps, c in f.terms.items() if exps[i]
+    })
 
 
 def test_sextic_is_pfaffian_up_to_recorded_sign():
@@ -108,8 +69,8 @@ def test_klein_matrix_and_cubic():
 
 def test_klein_cubic_cyclic_invariance():
     K = klein_cubic()
-    shifted = K.permute_variables([1, 2, 3, 4, 0])
-    assert shifted == K
+    assert sigma(K, 5) == K
+    assert sigma(K, 5, 2) == K
 
 
 def test_klein_adjugate_display():
@@ -134,15 +95,15 @@ def test_euler_relation_and_partials():
     K = klein_cubic()
     euler = SparsePoly.zero(5)
     for i in range(5):
-        euler = euler + SparsePoly.variable(5, i) * K.derivative(i)
+        euler = euler + SparsePoly.variable(5, i) * partial(K, i)
     assert euler == K.scale(3)
     # d/dx1 of the cubic is x0^2 + 2 x1 x2
-    assert K.derivative(1) == SparsePoly.monomial(5, [0, 0]) + SparsePoly.monomial(5, [1, 2], 2)
+    assert partial(K, 1) == SparsePoly.monomial(5, [0, 0]) + SparsePoly.monomial(5, [1, 2], 2)
 
 
 def test_jacobian_ideal_degreewise_equals_partials():
     K = klein_cubic()
-    partials = [K.derivative(i) for i in range(5)]
+    partials = [partial(K, i) for i in range(5)]
     system = jacobian_quadrics()
     from heisencheck.mpoly import graded_monomials
 

@@ -1,0 +1,77 @@
+"""Product code that only tests call stays out of the package.
+
+Every function, method and class defined in src/heisencheck must be
+referred to by code outside the tests (the package itself or perfbench/),
+or be listed in ALLOWED with the reason it stays.  References are matched
+by name, so the check can miss dead code whose name is reused elsewhere,
+but it never reports a name that is used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "heisencheck"
+CALLERS = (PACKAGE, ROOT / "perfbench")
+
+ALLOWED = {
+    "ffscan.jacobian_zero_scan":
+        "the acceptance tests use it; the Macaulay-certificate item decides its fate",
+    "heisenberg.iota": "the index involution is one of the actions the README describes",
+    "surface9.JFamilyIdeal.ideal": "the family member as an Ideal, the package's exported type",
+}
+
+
+def _definitions() -> set[str]:
+    """module.qualname of every function, method and class in the package."""
+    found = set()
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.add(f"{prefix}.{node.name}")
+                walk(node.body, f"{prefix}.{node.name}")
+
+    for path in PACKAGE.glob("*.py"):
+        walk(ast.parse(path.read_text(encoding="utf-8")).body, path.stem)
+    return found
+
+
+class _References(ast.NodeVisitor):
+    """Names loaded or attributes read, except from inside the definition itself."""
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self._scope: list[str] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        self._scope.append(node.name)
+        self.generic_visit(node)
+        self._scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node) -> None:
+        if node.id not in self._scope:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node) -> None:
+        if node.attr not in self._scope:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def _referenced() -> set[str]:
+    refs = _References()
+    for folder in CALLERS:
+        for path in folder.glob("*.py"):
+            if not path.name.startswith("test_"):
+                refs.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return refs.names
+
+
+def test_no_product_code_is_only_called_by_tests():
+    referenced = _referenced()
+    unused = {name for name in _definitions() if name.rsplit(".", 1)[-1] not in referenced}
+    assert unused == set(ALLOWED)

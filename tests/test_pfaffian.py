@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heisencheck.linalg import det_fraction
 from heisencheck.mpoly import SparsePoly
 from heisencheck.pfaffian import (
     ADJUGATE_SIGN,
     SkewMatrix,
     random_skew,
-    rank2_plucker_matrix,
+    sum_entries,
 )
 
 
@@ -25,6 +25,39 @@ def generic_skew(size):
     return SkewMatrix(size, upper)
 
 
+def det(rows):
+    """Determinant over Q by Gaussian elimination."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    n, out = len(mat), Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if mat[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            out = -out
+        out *= mat[c][c]
+        for r in range(c + 1, n):
+            f = mat[r][c] / mat[c][c]
+            mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
+    return out
+
+
+def product(a: SkewMatrix, b: SkewMatrix) -> list[list]:
+    """The full product a @ b as row lists."""
+    n = a.size
+    return [[sum_entries(a.entry(i, k) * b.entry(k, j) for k in range(n)
+                         if a.entry(i, k) and b.entry(k, j))
+             for j in range(n)] for i in range(n)]
+
+
+def rank2(a: list, b: list) -> SkewMatrix:
+    """The skew matrix (a_i b_j - a_j b_i), of rank at most 2."""
+    n = len(a)
+    return SkewMatrix(n, {(i, j): a[i] * b[j] - a[j] * b[i]
+                          for i in range(n) for j in range(i + 1, n)})
+
+
 def test_pfaffian_base_cases():
     m = SkewMatrix(2, {(0, 1): Fraction(7)})
     assert m.pfaffian() == 7
@@ -33,13 +66,18 @@ def test_pfaffian_base_cases():
     assert g.pfaffian() == m01 * m23 - m02 * m13 + m03 * m12
 
 
-def test_pfaffian_squares_to_determinant():
-    rng = random.Random(1)
-    for size in (4, 6, 8):
-        for _ in range(5):
-            m = random_skew(size, rng)
-            pf = m.pfaffian()
-            assert pf * pf == det_fraction(m.rows())
+@st.composite
+def rational_skew(draw):
+    size = draw(st.sampled_from([2, 4, 6, 8]))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    return SkewMatrix(size, {(i, j): draw(entry) for i in range(size) for j in range(i + 1, size)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rational_skew())
+def test_pfaffian_squares_to_determinant(m):
+    pf = m.pfaffian()
+    assert pf * pf == det(m.rows())
 
 
 def test_odd_size_pfaffian_rejected():
@@ -67,7 +105,7 @@ def test_adjugate_identity_generic():
     for size in (4, 6):
         g = generic_skew(size)
         pf = g.pfaffian()
-        prod = g.times_matrix(g.adjugate())
+        prod = product(g, g.adjugate())
         for i in range(size):
             for j in range(size):
                 expected = pf.scale(ADJUGATE_SIGN) if i == j else 0
@@ -81,11 +119,11 @@ def test_adjugate_annihilates_rank_deficient():
     c = [Fraction(rng.randint(-5, 5)) for _ in range(6)]
     d = [Fraction(rng.randint(-5, 5)) for _ in range(6)]
     m = SkewMatrix(6, {
-        k: rank2_plucker_matrix(a, b).entry(*k) + rank2_plucker_matrix(c, d).entry(*k)
+        k: rank2(a, b).entry(*k) + rank2(c, d).entry(*k)
         for k in [(i, j) for i in range(6) for j in range(i + 1, 6)]
     })
     assert m.pfaffian() == 0
-    prod = m.times_matrix(m.adjugate())
+    prod = product(m, m.adjugate())
     assert all(prod[i][j] == 0 for i in range(6) for j in range(6))
 
 
@@ -109,7 +147,7 @@ def test_kernel_vector_vanishes_exactly_on_low_rank():
     rng = random.Random(77)
     a = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
     b = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
-    low = rank2_plucker_matrix(a, b)  # rank 2, so every 4x4 Pfaffian dies
+    low = rank2(a, b)  # rank 2, so every 4x4 Pfaffian dies
     assert all(x == 0 for x in low.kernel_vector())
     generic = random_skew(5, rng)  # a random 5x5 has rank 4
     assert any(x != 0 for x in generic.kernel_vector())
