@@ -17,16 +17,9 @@ from heisencheck.grassfano import (
 from heisencheck.heisenberg import s_matrix, sigma
 from heisencheck.linalg import rank_fraction
 from heisencheck.mpoly import SparsePoly, divide_exact
+from oracles import partial
 
 X5 = [f"x{k}" for k in range(1, 6)]
-
-
-def partial(f: SparsePoly, i: int) -> SparsePoly:
-    """d f / d x_i."""
-    return SparsePoly(f.nvars, {
-        tuple(e - (k == i) for k, e in enumerate(exps)): c * exps[i]
-        for exps, c in f.terms.items() if exps[i]
-    })
 
 
 def test_sextic_is_pfaffian_up_to_recorded_sign():

@@ -15,6 +15,7 @@ from heisencheck.mpoly import (
     parse_poly,
     render_poly,
 )
+from oracles import partial
 
 
 def rand_poly(rng, nvars=4, terms=3, max_exp=3):
@@ -137,10 +138,16 @@ def test_parse_rejects_garbage():
         parse_poly("x0 ++ x0", ["x0"])
 
 
-def test_ideal_validation():
+def test_derivative_and_homogeneous():
     f = SparsePoly.monomial(3, [0, 0, 1]) + SparsePoly.monomial(3, [2, 2, 2])
     assert f.is_homogeneous()
+    df = partial(f, 0)
+    assert df == SparsePoly.monomial(3, [0, 1], 2)
+    assert df.is_homogeneous()
     assert not (f + SparsePoly.variable(3, 0)).is_homogeneous()
+
+
+def test_ideal_validation():
     x = SparsePoly.variable(2, 0)
     with pytest.raises(ValueError):
         Ideal(2, [SparsePoly.zero(2)])
