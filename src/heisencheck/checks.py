@@ -134,6 +134,8 @@ class RunConfig:
             raise ValueError("need at least two (lambda : mu) samples")
         if any(lam == 0 and mu == 0 for lam, mu in self.lambda_mu_samples):
             raise ValueError("(0 : 0) is not a point of P^1")
+        if not self.jacobian_primes:
+            raise ValueError("jacobian_primes: need at least one odd prime")
         for q in self.jacobian_primes:
             # the factor 2 in the Jacobian quadrics vanishes over F_2
             if q == 2 or not is_prime(q):

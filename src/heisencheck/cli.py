@@ -63,6 +63,13 @@ def write_atomic(path: str, content: str) -> None:
         raise
 
 
+def check_output_dir(path: str) -> None:
+    """Refuse an output path whose directory does not exist, before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"{path}: directory {directory} does not exist")
+
+
 def load_config_file(path: str) -> dict:
     """Plain key=value lines; '#' starts a comment."""
     values = {}
@@ -119,6 +126,8 @@ def build_config(args) -> RunConfig:
     if getattr(args, "format", None):
         config = dataclasses.replace(config, format=args.format)
     config.validate()
+    if config.report_path:
+        check_output_dir(config.report_path)
     return config
 
 
@@ -141,6 +150,8 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     try:
+        if args.csv:
+            check_output_dir(args.csv)
         census = scan_strata(args.d, args.prime)
     except ValueError as exc:
         print(f"scan error: {exc}", file=sys.stderr)
@@ -156,6 +167,8 @@ def cmd_scan(args) -> int:
 
 def cmd_hilbert(args) -> int:
     try:
+        if args.max_deg < 0:
+            raise ValueError(f"--max-deg must be nonnegative, got {args.max_deg}")
         family = j_family(args.lam, args.mu)
     except ValueError as exc:
         print(f"hilbert error: {exc}", file=sys.stderr)

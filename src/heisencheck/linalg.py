@@ -36,14 +36,22 @@ def rank_fraction(rows: list[list[Fraction]]) -> int:
 
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:
-    """Rank over F_p; entries and intermediates stay below int64 overflow."""
+    """Rank over F_p for a prime p with 2 <= p < 2^31.
+
+    Entries are reduced into [0, p), so every product of two of them stays
+    below p^2 < 2^62 and no intermediate overflows int64; a larger p raises
+    ValueError.  Each pivot updates only the rows below it with a nonzero in
+    the pivot column, which on sparse Macaulay matrices is a small share.
+    """
+    if not 2 <= p < 2 ** 31:
+        raise ValueError(f"rank_mod needs 2 <= p < 2^31, got p = {p}")
     A = np.array(matrix, dtype=np.int64, copy=True) % p
     rows, cols = A.shape
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
         pivot = r + int(nz[0])
@@ -51,9 +59,11 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
             A[[r, pivot]] = A[[pivot, r]]
         inv = pow(int(A[r, c]), p - 2, p)
         A[r, c:] = (A[r, c:] * inv) % p
-        factors = A[r + 1:, c:c + 1]
-        if factors.size:
-            A[r + 1:, c:] = (A[r + 1:, c:] - factors * A[r:r + 1, c:]) % p
+        # the swap moved a row with a zero in column c to the pivot's old
+        # place, so the rows to clear are exactly the other nonzeros found
+        below = r + nz[1:]
+        if below.size:
+            A[below, c:] = (A[below, c:] - A[below, c:c + 1] * A[r, c:]) % p
         r += 1
     return r
 

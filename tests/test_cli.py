@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from heisencheck import hilbert
+from heisencheck import cli, hilbert
 from heisencheck.checks import (
     CheckReport,
     RunConfig,
@@ -51,6 +51,7 @@ def test_config_rejects_unscannable_prime(field, q):
     ("rank_primes", (1073741789, 1073741789), "two distinct primes"),
     ("rank_primes", (1073741789,), "two distinct primes"),
     ("rank_primes", (1073741789, 2147483659), "too large"),
+    ("jacobian_primes", (), "at least one odd prime"),
 ])
 def test_config_rejects_bad_primes(field, value, message):
     with pytest.raises(ValueError, match=f"{field}: .*{message}"):
@@ -191,12 +192,41 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     config.write_text("scan_prime_d9\n")
     assert main(["verify", "--config", str(config)]) == 2
     assert "config error" in capsys.readouterr().err
-    for line in ("jacobian_primes = 9,15", "jacobian_primes = 2", "rank_primes = 4,6",
+    # an empty jacobian_primes used to PASS klein.jacobian without checking any prime
+    for line in ("jacobian_primes = 9,15", "jacobian_primes = 2", "jacobian_primes =",
+                 "rank_primes = 4,6",
                  "rank_primes = 1073741789,1073741789",
                  "rank_primes = 1073741789,2147483659"):
         config.write_text(line + "\n")
         assert main(["verify", "--config", str(config)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the input was rejected")
+
+
+def test_output_into_a_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _must_not_run)
+    monkeypatch.setattr(cli, "scan_strata", _must_not_run)
+    missing = tmp_path / "missing" / "out.txt"
+    assert main(["scan", "--d", "9", "--prime", "19", "--csv", str(missing)]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert main(["verify", "--suite", "d9", "--report", str(missing)]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"report = {missing}\n")
+    assert main(["verify", "--suite", "d9", "--config", str(config)]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
+def test_negative_max_deg_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "graded_hilbert", _must_not_run)
+    assert main(["hilbert", "--lambda", "1", "--mu", "1", "--max-deg", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-deg" in captured.err
+    assert captured.out == ""
 
 
 def test_scan_subcommand(tmp_path, capsys):
@@ -214,6 +244,8 @@ def test_hilbert_subcommand(capsys):
     out = capsys.readouterr().out
     assert "t=4: 144" in out
     assert main(["hilbert", "--lambda", "0", "--mu", "0"]) == 2
+    assert main(["hilbert", "--lambda", "1", "--mu", "1", "--max-deg", "0"]) == 0
+    assert "t=0: 1" in capsys.readouterr().out
 
 
 def test_chars_subcommand(capsys):

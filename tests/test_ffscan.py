@@ -92,6 +92,20 @@ def test_census_partition_invariance():
         assert split.min_rank_points == whole.min_rank_points
 
 
+@pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
+def test_census_partition_invariance_random_blocks(d, q):
+    whole = scan_strata(d, q)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(256, 20000))
+    def run(block_size):
+        split = scan_strata(d, q, block_size=block_size)
+        assert split.counts == whole.counts
+        assert split.min_rank_points == whole.min_rank_points
+
+    run()
+
+
 def test_point_blocks_match_dense_enumeration():
     from heisencheck.ffscan import point_blocks
     import numpy as np

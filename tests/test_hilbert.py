@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heisencheck.hilbert import (
     RANK_PRIMES,
     SimplicialComplex,
+    _macaulay_rows,
+    _rows_to_int_matrix,
     abelian_surface_profile,
     face_vector,
     flatness_evidence,
@@ -20,6 +23,7 @@ from heisencheck.surface9 import (
     theta9_closed_form,
     v_dot_R4,
 )
+from oracles import degree_rows, project_rows
 
 TORUS_PROFILE = [1, 9, 36, 81, 144, 225]
 
@@ -96,6 +100,33 @@ def test_graded_agrees_with_monomial_oracle():
 def test_graded_hilbert_family_member():
     assert graded_hilbert(j_family(1, 1).generators(), 9, 5) == TORUS_PROFILE
     assert graded_hilbert(j_family(3, 7).generators(), 9, 4) == TORUS_PROFILE[:5]
+
+
+def test_torus_family_reaches_9t2_at_degree_8():
+    for lam, mu in ((1, 1), (2, 9), (9, 4)):
+        assert graded_hilbert(j_family(lam, mu).generators(), 9, 8) == abelian_surface_profile(8)
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(j_family(1, 1).generators(), id="J(1:1)"),
+    pytest.param(j_family(3, 7).generators(), id="J(3:7)"),
+    pytest.param(j_family(0, 1).generators(), id="J(0:1)"),
+    pytest.param(j_family(Fraction(2, 3), Fraction(-5, 7)).generators(), id="J(2/3:-5/7)"),
+    pytest.param(j1_generators(), id="J1"),
+    pytest.param(v_dot_R4([0, 1, 0, 0, 0]), id="monomial-fiber"),
+])
+def test_one_pass_rows_match_the_two_pass_oracle(gens):
+    # equal rows feed the rational fallback the same entries, and equal
+    # integer matrices give rank_mod the same input
+    built = list(_macaulay_rows(gens, 9, 7))
+    assert len(built) == 8
+    for t, (width, rows) in enumerate(built):
+        ncols, killed, poly_rows = degree_rows(gens, 9, t)
+        oracle_width, oracle_rows = project_rows(killed, poly_rows, ncols)
+        assert (width, rows) == (oracle_width, oracle_rows), t
+        if rows:
+            assert np.array_equal(_rows_to_int_matrix(rows, width),
+                                  _rows_to_int_matrix(oracle_rows, oracle_width)), t
 
 
 def test_flatness_evidence():
