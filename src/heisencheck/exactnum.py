@@ -1,14 +1,18 @@
 """Exact arithmetic in Q and in the cyclotomic fields Q(xi_n).
 
-Elements of Q(xi_n) are stored on the power basis 1, t, ..., t^(phi(n)-1)
-of Q[t]/(Phi_n(t)), so equality is coefficient-wise and every value has a
-unique normal form.  Orders used downstream are n in {9, 11, 55}; the
-code is generic in n: a coefficient list of any length is folded mod n and
-then reduced mod Phi_n.
+Elements of Q(xi_n) are integer coefficient vectors on the power basis
+1, t, ..., t^(phi(n)-1) of Q[t]/(Phi_n(t)) over one common positive
+denominator, with the gcd of the denominator and all numerators 1 (the
+representation of Antic/FLINT).  So every value has a unique normal form,
+equality is comparison of integers, and arithmetic builds no Fraction.
+Orders used downstream are n in {9, 11, 55}; the code is generic in n: a
+coefficient list of any length is folded mod n and then reduced mod Phi_n,
+which is monic and integral, so reduction stays in the integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +24,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"euler_phi undefined for {n}")
@@ -78,144 +83,195 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _root_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """xi_n^k on the power basis for k = 0 .. n-1, as coefficient rows."""
+def _root_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """xi_n^k on the power basis for k = 0 .. n-1, as integer coefficient rows.
+
+    Phi_n is monic and integral, so reducing t^k mod Phi_n never divides.
+    """
     phi = euler_phi(n)
     Phi = cyclotomic_polynomial(n)
     rows = []
-    current = [_ZERO] * phi
-    current[0] = _ONE
+    current = [0] * phi
+    current[0] = 1
     for _ in range(n):
         rows.append(tuple(current))
         # multiply by t, then reduce the overflow coefficient
         top = current[phi - 1]
-        current = [_ZERO] + current[:-1]
+        current = [0] + current[:-1]
         if top:
             for j in range(phi):
                 current[j] -= top * Phi[j]
     return tuple(rows)
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _fold_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (j, c) of xi_n^k for k = phi(n) .. n-1: what _reduce adds."""
+    return tuple(
+        tuple((j, c) for j, c in enumerate(row) if c)
+        for row in _root_table(n)[euler_phi(n):]
+    )
+
+
+def _reduce(n: int, coeffs: list[int]) -> list[int]:
     """Normal form of sum_k coeffs[k] t^k: fold exponents mod n, then mod Phi_n."""
-    phi = euler_phi(n)
-    folded = list(coeffs[:n]) + [_ZERO] * max(0, n - len(coeffs))
+    folded = list(coeffs[:n]) + [0] * max(0, n - len(coeffs))
     for k in range(n, len(coeffs)):
         if coeffs[k]:
             folded[k % n] += coeffs[k]
+    phi = euler_phi(n)
     out = folded[:phi]
-    table = _root_table(n)
-    for k in range(phi, n):
-        c = folded[k]
+    for c, row in zip(folded[phi:], _fold_rows(n)):
         if c:
-            row = table[k]
-            for j in range(phi):
-                out[j] += c * row[j]
-    return tuple(out)
+            for j, r in row:
+                out[j] += c * r
+    return out
+
+
+def _make(order: int, num, den: int) -> "CycloNum":
+    """The element num/den, num already reduced and gcd(den, *num) = 1."""
+    x = object.__new__(CycloNum)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "_num", tuple(num))
+    object.__setattr__(x, "_den", den)
+    return x
+
+
+def _normal(order: int, num, den: int) -> "CycloNum":
+    """The element num/den for a reduced num and any nonzero den."""
+    if den < 0:
+        num, den = [-c for c in num], -den
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    return _make(order, num, den)
 
 
 class CycloNum:
-    """An element of Q(xi_n) on the power basis mod Phi_n."""
+    """An element of Q(xi_n): integer coefficients on the power basis mod
+    Phi_n over one positive denominator, with gcd(den, *num) = 1.
 
-    __slots__ = ("order", "coeffs")
+    That normal form is unique, so equal values have equal (num, den).
+    """
 
-    def __init__(self, order: int, coeffs) -> None:
+    __slots__ = ("order", "_num", "_den")
+
+    def __new__(cls, order: int, coeffs) -> "CycloNum":
+        """The element sum_k coeffs[k] xi^k, for rational coeffs of any length."""
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
         phi = euler_phi(order)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > phi:
-            cs = list(_reduce(order, cs))
-        elif len(cs) < phi:
-            cs += [_ZERO] * (phi - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if len(num) > phi:
+            num = _reduce(order, num)
+        else:
+            num += [0] * (phi - len(num))
+        return _normal(order, num, den)
 
     def __setattr__(self, *args):  # immutable
         raise AttributeError("CycloNum is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self._den) for c in self._num)
+
     @classmethod
     def zero(cls, order: int) -> "CycloNum":
-        return cls(order, ())
+        return _make(order, [0] * euler_phi(order), 1)
 
     @classmethod
     def one(cls, order: int) -> "CycloNum":
-        return cls(order, (_ONE,))
+        return cls.from_rational(order, 1)
 
     @classmethod
     def from_rational(cls, order: int, a) -> "CycloNum":
-        return cls(order, (Fraction(a),))
+        a = Fraction(a)
+        return _make(order, [a.numerator] + [0] * (euler_phi(order) - 1), a.denominator)
 
     @classmethod
     def root(cls, order: int, power: int = 1) -> "CycloNum":
         """xi_order ** power, reduced."""
-        return cls(order, _root_table(order)[power % order])
+        return _make(order, _root_table(order)[power % order], 1)
 
     # -- predicates -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, CycloNum):
-            if other.order != self.order:
-                raise ValueError(
-                    f"order mismatch: {self.order} vs {other.order}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNum.from_rational(self.order, other)
-        return None
+    def _check(self, other: "CycloNum") -> None:
+        if other.order != self.order:
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+
+    def _scale(self, p: int, q: int) -> "CycloNum":
+        """self * p / q for integers p, q."""
+        if not q:
+            raise ZeroDivisionError("division by zero in cyclotomic field")
+        return _normal(self.order, [c * p for c in self._num], self._den * q)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNum(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da = self._den
+        if isinstance(other, CycloNum):
+            self._check(other)
+            db = other._den
+            if da == db:
+                return _normal(self.order, [a + b for a, b in zip(self._num, other._num)], da)
+            num = [a * db + b * da for a, b in zip(self._num, other._num)]
+            return _normal(self.order, num, da * db)
+        if isinstance(other, (int, Fraction)):
+            q = other.denominator
+            num = [c * q for c in self._num]
+            num[0] += other.numerator * da
+            return _normal(self.order, num, da * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.order, [-a for a in self.coeffs])
+        return _make(self.order, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNum(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        if isinstance(other, (CycloNum, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        prod = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
+        if isinstance(other, CycloNum):
+            self._check(other)
+            a = self._num
+            b = [(j, c) for j, c in enumerate(other._num) if c]
+            prod = [0] * (2 * len(a) - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in b:
                         prod[i + j] += ai * bj
-        return CycloNum(self.order, prod)
+            return _normal(self.order, _reduce(self.order, prod), self._den * other._den)
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        # extended Euclid in Q[t] against Phi_n
+        # extended Euclid in Q[t] against Phi_n, on the numerator alone
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi_poly, list(self.coeffs)
+        r0, r1 = phi_poly, [Fraction(c) for c in self._num]
         s0, s1 = [_ZERO], [_ONE]
         while any(r1):
             q, rem = _poly_divmod_frac(r0, r1)
@@ -225,16 +281,19 @@ class CycloNum:
         r0 = _trim(r0)
         if len(r0) != 1:
             raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        return CycloNum(self.order, [c / r0[0] for c in s0])
+        return CycloNum(self.order, [c * self._den / r0[0] for c in s0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, CycloNum):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.denominator, other.numerator)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, k: int) -> "CycloNum":
         if k < 0:
@@ -252,24 +311,27 @@ class CycloNum:
     def conjugate(self) -> "CycloNum":
         """Complex conjugation, xi -> xi^(-1)."""
         n = self.order
-        out = [_ZERO] * n
-        for k, c in enumerate(self.coeffs):
+        out = [0] * n
+        for k, c in enumerate(self._num):
             out[-k % n] = c
-        return CycloNum(n, out)
+        # an automorphism of Z[xi] keeps gcd(den, *num) = 1
+        return _make(n, _reduce(n, out), self._den)
 
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self._num[0] == other.numerator
+                    and self._den == other.denominator)
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self.order, self._num, self._den))
 
     def __repr__(self) -> str:
         parts = []
@@ -330,10 +392,11 @@ def embed(a: CycloNum, target_order: int) -> CycloNum:
     if target_order % m != 0:
         raise ValueError(f"order {m} does not divide {target_order}")
     step = target_order // m
-    out = [_ZERO] * target_order
-    for k, c in enumerate(a.coeffs):
+    out = [0] * target_order
+    for k, c in enumerate(a._num):
         out[k * step] = c
-    return CycloNum(target_order, out)
+    # Z[xi_n] meets Q(xi_m) in Z[xi_m], so gcd(den, *num) stays 1
+    return _make(target_order, _reduce(target_order, out), a._den)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -378,13 +441,3 @@ def fraction_mod(x: Fraction, q: int) -> int:
         raise ZeroDivisionError(f"denominator of {x} vanishes mod {q}")
     return (num % q) * modular_inverse(den, q) % q
 
-
-def cyclo_mod(a: CycloNum, q: int, xi_image: int) -> int:
-    """Reduction of a into F_q via xi -> xi_image (an order-n element)."""
-    acc = 0
-    power = 1
-    for c in a.coeffs:
-        if c:
-            acc = (acc + fraction_mod(c, q) * power) % q
-        power = power * xi_image % q
-    return acc

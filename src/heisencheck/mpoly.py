@@ -7,12 +7,11 @@ terms, division, and the canonical text rendering.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactnum import CycloNum
+from .exactnum import CycloNum, fraction_mod
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -255,18 +254,13 @@ class SparsePoly:
             return Fraction(total)
         return total
 
-    def evaluate_mod(self, point, q: int, xi_image: int | None = None) -> int:
-        """Value in F_q; cyclotomic coefficients reduce through xi -> xi_image."""
-        from .exactnum import cyclo_mod, fraction_mod
-
+    def evaluate_mod(self, point, q: int) -> int:
+        """Value in F_q of a polynomial with rational coefficients."""
         total = 0
         for exps, coeff in self.terms.items():
             if isinstance(coeff, CycloNum):
-                if xi_image is None:
-                    raise ValueError("cyclotomic coefficient needs a designated root image")
-                c = cyclo_mod(coeff, q, xi_image)
-            else:
-                c = fraction_mod(coeff, q)
+                raise ValueError("cyclotomic coefficient has no reduction mod q")
+            c = fraction_mod(coeff, q)
             for x, e in zip(point, exps):
                 if e:
                     c = c * pow(int(x) % q, e, q) % q
@@ -317,22 +311,22 @@ def divide_exact(f: SparsePoly, d: SparsePoly) -> SparsePoly | None:
 
 
 def graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given total degree, grevlex descending."""
+    """All exponent vectors of the given total degree, grevlex descending.
+
+    Descending grevlex orders by the last exponent ascending, then the one
+    before it, and so on; so each vector is built by appending the next
+    variable's exponent in the outer loop, ascending.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    out.sort(key=grevlex_key, reverse=True)
-    assert len(out) == math.comb(degree + nvars - 1, nvars - 1)
-    return out
+    # by_degree[d]: the vectors of degree d in the first k variables, in order
+    by_degree = [[(d,)] for d in range(degree + 1)]
+    for _ in range(nvars - 1):
+        by_degree = [
+            [m + (e,) for e in range(d + 1) for m in by_degree[d - e]]
+            for d in range(degree + 1)
+        ]
+    return by_degree[degree]
 
 
 class Ideal:

@@ -1,11 +1,13 @@
 """Reference implementations that the tests check the package against."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from heisencheck.exactnum import cyclotomic_polynomial, euler_phi
 from heisencheck.hilbert import _monomial_exps
-from heisencheck.mpoly import SparsePoly, graded_monomials
+from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key
 
 
 def partial(f: SparsePoly, i: int) -> SparsePoly:
@@ -80,3 +82,166 @@ def project_rows(killed: set[int], poly_rows, ncols: int):
         seen.add(entries)
         dense.append(entries)
     return len(survivors), dense
+
+
+# -- the slow path behind mpoly.graded_monomials --------------------------------
+
+
+def sorted_graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Every exponent vector of the degree, then a sort on the grevlex key."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(tuple(prefix + [remaining]))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + [e], remaining - e, slots - 1)
+
+    rec([], degree, nvars)
+    out.sort(key=grevlex_key, reverse=True)
+    return out
+
+
+# -- the slow path behind exactnum.CycloNum: one Fraction per coefficient ------
+
+
+@lru_cache(maxsize=None)
+def _fraction_root_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """xi_n^k on the power basis for k = 0 .. n-1, as Fraction rows."""
+    phi = euler_phi(n)
+    Phi = cyclotomic_polynomial(n)
+    rows = []
+    current = [Fraction(0)] * phi
+    current[0] = Fraction(1)
+    for _ in range(n):
+        rows.append(tuple(current))
+        top = current[phi - 1]
+        current = [Fraction(0)] + current[:-1]
+        if top:
+            for j in range(phi):
+                current[j] -= top * Phi[j]
+    return tuple(rows)
+
+
+def _fraction_reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """Fold exponents mod n, then reduce mod Phi_n."""
+    phi = euler_phi(n)
+    folded = list(coeffs[:n]) + [Fraction(0)] * max(0, n - len(coeffs))
+    for k in range(n, len(coeffs)):
+        folded[k % n] += coeffs[k]
+    out = folded[:phi]
+    table = _fraction_root_table(n)
+    for k in range(phi, n):
+        for j in range(phi):
+            out[j] += folded[k] * table[k][j]
+    return tuple(out)
+
+
+def _trim(poly):
+    while len(poly) > 1 and not poly[-1]:
+        poly = poly[:-1]
+    return poly
+
+
+def _poly_divmod(num, den):
+    num, den = _trim(list(num)), _trim(list(den))
+    if len(num) < len(den):
+        return [Fraction(0)], num
+    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = num[k + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    return q, _trim(num)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+class FractionCyclo:
+    """An element of Q(xi_n) as one Fraction per power-basis coefficient."""
+
+    def __init__(self, order: int, coeffs) -> None:
+        phi = euler_phi(order)
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) > phi:
+            cs = list(_fraction_reduce(order, cs))
+        self.order = order
+        self.coeffs = tuple(cs + [Fraction(0)] * (phi - len(cs)))
+
+    def _coerce(self, other) -> "FractionCyclo":
+        if isinstance(other, FractionCyclo):
+            assert other.order == self.order
+            return other
+        return FractionCyclo(self.order, [Fraction(other)])
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionCyclo(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __neg__(self):
+        return FractionCyclo(self.order, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return FractionCyclo(self.order, _poly_mul(self.coeffs, o.coeffs))
+
+    def inverse(self) -> "FractionCyclo":
+        """Extended Euclid in Q[t] against Phi_n."""
+        if not any(self.coeffs):
+            raise ZeroDivisionError("division by zero in cyclotomic field")
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        r1 = list(self.coeffs)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while any(r1):
+            q, rem = _poly_divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        r0 = _trim(r0)
+        assert len(r0) == 1
+        return FractionCyclo(self.order, [c / r0[0] for c in s0])
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __pow__(self, k: int) -> "FractionCyclo":
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = FractionCyclo(self.order, [1])
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def conjugate(self) -> "FractionCyclo":
+        """xi -> xi^(-1)."""
+        n = self.order
+        out = [Fraction(0)] * n
+        for k, c in enumerate(self.coeffs):
+            out[-k % n] = c
+        return FractionCyclo(n, out)
+
+    def embed(self, target_order: int) -> "FractionCyclo":
+        """xi_m -> xi_n^(n/m)."""
+        step = target_order // self.order
+        out = [Fraction(0)] * target_order
+        for k, c in enumerate(self.coeffs):
+            out[k * step] = c
+        return FractionCyclo(target_order, out)

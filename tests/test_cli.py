@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +257,9 @@ def test_chars_subcommand(capsys):
     assert "sym^3(chi3) = chi1 + chi5 + chi7 + chi8" in out
 
 
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_report.json"
+
+
 def test_verify_full_suite_exit_code():
     reports = run_suite("all")
     ids = {r.check_id for r in reports}
@@ -262,3 +267,7 @@ def test_verify_full_suite_exit_code():
     failing = {r.check_id for r in reports if r.status == "fail"}
     assert failing == {"chars.sym2", "chars.sym3"}
     assert exit_code(reports) == 1
+    # the JSON report is byte-stable apart from elapsed_ms; a change that moves
+    # a check's details shows its diff in the golden file
+    timeless = [dataclasses.replace(r, elapsed_ms=0) for r in reports]
+    assert render_report(timeless, "json") == GOLDEN_REPORT.read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from heisencheck.exactnum import (
     nth_root_in_prime_field,
     quadratic_gauss_sum,
 )
+from oracles import FractionCyclo
 
 
 def test_cyclotomic_polynomials():
@@ -173,5 +175,76 @@ def test_field_axioms_every_order(n):
         assert a.conjugate().conjugate() == a
         assert (a + b).conjugate() == a.conjugate() + b.conjugate()
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+    run()
+
+
+def rational_elements(n: int):
+    # the common denominator of these coefficients runs up to lcm(1..4) = 12
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.lists(coeff, max_size=2 * n + 1).map(lambda cs: CycloNum(n, cs))
+
+
+def assert_normal(x: CycloNum) -> None:
+    """The stored form: phi(n) integers over one positive coprime denominator."""
+    assert len(x._num) == euler_phi(x.order)
+    assert all(type(c) is int for c in x._num)
+    assert type(x._den) is int and x._den > 0
+    assert math.gcd(x._den, *x._num) == 1
+
+
+def same(x: CycloNum, y: FractionCyclo) -> bool:
+    assert_normal(x)
+    return x.order == y.order and x.coeffs == y.coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_integer_vector_matches_the_fraction_oracle(n):
+    scalars = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(rational_elements(n), rational_elements(n), st.integers(1, 3),
+           st.integers(0, 5), scalars, st.integers(-7, 7))
+    def run(a, b, m, k, r, i):
+        A, B = FractionCyclo(n, a.coeffs), FractionCyclo(n, b.coeffs)
+        assert same(a + b, A + B)
+        assert same(a - b, A - B)
+        assert same(-a, -A)
+        assert same(a * b, A * B)
+        assert same(a.conjugate(), A.conjugate())
+        assert same(embed(a, m * n), A.embed(m * n))
+        assert same(a ** k, A ** k)
+        if b:
+            B_inv = B.inverse()
+            assert same(b.inverse(), B_inv)
+            assert same(a / b, A * B_inv)
+            assert same(b ** -k, B_inv ** k)
+            assert same(r / b, B_inv * r)
+        # an int or a Fraction scales num and den directly
+        for s in (r, i, Fraction(i)):
+            assert same(a * s, A * s) and same(s * a, A * s)
+            assert same(a + s, A + s) and same(s + a, A + s)
+            assert same(a - s, A - s) and same(s - a, -(A - s))
+            if s:
+                assert same(a / s, A * Fraction(1, s))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    a / s
+        # a rational element equals and hashes like its Fraction
+        for x in (CycloNum.from_rational(n, r), a - a + r, (a * 0 + i) * r):
+            assert_normal(x)
+            value = x.as_rational()
+            assert x.is_rational() and x == value and value == x
+            assert hash(x) == hash(value)
+        assert (CycloNum.from_rational(n, r) == i) == (r == i)
+        # equal values reached by different paths store the same integers
+        for lhs, rhs in (((a * b) * b, a * (b * b)), (a + b - b, a),
+                         (a.conjugate().conjugate(), a), ((a * r) * i, (a * i) * r)):
+            assert_normal(lhs)
+            assert (lhs.order, lhs._num, lhs._den) == (rhs.order, rhs._num, rhs._den)
+            assert hash(lhs) == hash(rhs)
+        if r:
+            quotient = (a * r) / r
+            assert (quotient._num, quotient._den) == (a._num, a._den)
 
     run()

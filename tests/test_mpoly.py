@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heisencheck.exactnum import CycloNum
 from heisencheck.mpoly import (
     Ideal,
     SparsePoly,
@@ -15,7 +16,7 @@ from heisencheck.mpoly import (
     parse_poly,
     render_poly,
 )
-from oracles import partial
+from oracles import partial, sorted_graded_monomials
 
 
 def rand_poly(rng, nvars=4, terms=3, max_exp=3):
@@ -114,6 +115,19 @@ def test_graded_monomials_counts():
     mons = graded_monomials(3, 4)
     assert len(set(mons)) == len(mons) == math.comb(4 + 2, 2)
     assert mons == sorted(mons, key=grevlex_key, reverse=True)
+
+
+def test_graded_monomials_match_the_sorting_oracle():
+    for nvars in range(1, 10):
+        for degree in range(9):
+            assert graded_monomials(nvars, degree) == sorted_graded_monomials(nvars, degree)
+
+
+def test_evaluate_mod_rejects_cyclotomic_coefficients():
+    f = SparsePoly(2, {(1, 0): CycloNum.root(9), (0, 1): 1})
+    with pytest.raises(ValueError):
+        f.evaluate_mod([1, 2], 19)
+    assert SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 1): 1}).evaluate_mod([1, 2], 19) == 12
 
 
 NAMES = ["x0", "x1", "x2", "x3"]
