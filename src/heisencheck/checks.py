@@ -137,6 +137,9 @@ class RunConfig:
         if not self.jacobian_primes:
             raise ValueError("jacobian_primes: need at least one odd prime")
         for q in self.jacobian_primes:
+            # evaluate_poly_batch forms products below q^2, which must fit in int64
+            if q >= 2 ** 31:
+                raise ValueError(f"jacobian_primes: q = {q} is too large: q must be below 2^31")
             # the factor 2 in the Jacobian quadrics vanishes over F_2
             if q == 2 or not is_prime(q):
                 raise ValueError(f"jacobian_primes: q = {q} is not an odd prime")
@@ -238,31 +241,29 @@ def check_d11_v14_linear(ctx: RunContext):
     return PASS, {"mode": mode, "relations": golden.data_lines("v14_relations.txt")}
 
 
-def check_d11_plucker_3term(ctx: RunContext):
-    s = s_matrix(11)
-    pf = s.pfaffian()
+def _three_term_failure(m) -> tuple[int, ...] | None:
+    """First quadruple ijkl where Pf^ij Pf^kl - Pf^ik Pf^jl + Pf^il Pf^jk
+    differs from Pf Pf^ijkl, or None; Pf^I deletes the rows and columns I."""
+    pf = m.pfaffian()
+    sub = {idx: m.sub_pfaffian(idx)
+           for r in (2, 4) for idx in itertools.combinations(range(6), r)}
     for quad in itertools.combinations(range(6), 4):
         i, j, k, l = quad
-        lhs = (
-            s.sub_pfaffian({i, j}) * s.sub_pfaffian({k, l})
-            - s.sub_pfaffian({i, k}) * s.sub_pfaffian({j, l})
-            + s.sub_pfaffian({i, l}) * s.sub_pfaffian({j, k})
-        )
-        if lhs != pf * s.sub_pfaffian(set(quad)):
-            return FAIL, {"symbolic_quadruple": quad}
+        lhs = sub[i, j] * sub[k, l] - sub[i, k] * sub[j, l] + sub[i, l] * sub[j, k]
+        if lhs != pf * sub[quad]:
+            return quad
+    return None
+
+
+def check_d11_plucker_3term(ctx: RunContext):
+    quad = _three_term_failure(s_matrix(11))
+    if quad is not None:
+        return FAIL, {"symbolic_quadruple": quad}
     rng = random.Random(31415)
     for trial in range(50):
-        m = random_skew(6, rng)
-        pfm = m.pfaffian()
-        for quad in itertools.combinations(range(6), 4):
-            i, j, k, l = quad
-            lhs = (
-                m.sub_pfaffian({i, j}) * m.sub_pfaffian({k, l})
-                - m.sub_pfaffian({i, k}) * m.sub_pfaffian({j, l})
-                + m.sub_pfaffian({i, l}) * m.sub_pfaffian({j, k})
-            )
-            if lhs != pfm * m.sub_pfaffian(set(quad)):
-                return FAIL, {"numeric_trial": trial, "quadruple": quad}
+        quad = _three_term_failure(random_skew(6, rng))
+        if quad is not None:
+            return FAIL, {"numeric_trial": trial, "quadruple": quad}
     return PASS, {"symbolic_quadruples": 15, "numeric_matrices": 50}
 
 

@@ -1,10 +1,14 @@
-"""Brute-force enumeration of projective space over prime fields.
+"""Enumeration of projective space over prime fields.
 
-Strata of the skew quadric matrix are classified through Pfaffian
-vanishing (for an alternating matrix, rank < 2k+2 exactly when all
-(2k+2)-Pfaffians vanish), evaluated as vectorized arithmetic over a block
-of canonical points at once; exact Gaussian elimination is kept as the
-per-point oracle and cross-checked on every scan.
+Two enumerators share the scan order of canonical points (leading
+coordinate 1, the coordinates before it 0, the rest lexicographic).
+
+The rank census enumerates every point by brute force.  Strata of the
+skew quadric matrix are classified through Pfaffian vanishing (for an
+alternating matrix, rank < 2k+2 exactly when all (2k+2)-Pfaffians vanish),
+evaluated as vectorized arithmetic over a block of canonical points at
+once; exact Gaussian elimination is kept as the per-point oracle and
+cross-checked on every scan.
 
 Every entry of the matrix is a signed quadratic monomial, so the kernel
 uses closed forms: each entry value x_a x_b mod q is computed once with its
@@ -15,6 +19,14 @@ reduced mod q once, after its signed sum.  The widest unreduced sum is that
 expansion, five products below (q-1)^2 each, so the kernel runs in int32
 while 5 (q-1)^2 < 2^31 (q <= 20725) and in int64 otherwise; primes with
 5 (q-1)^2 >= 2^63 are rejected.
+
+The common-zero sieve (common_zeros) finds the points where a system of
+polynomials vanishes without visiting every point.  It assigns one
+coordinate at a time and imposes each polynomial as soon as all of its
+variables are assigned, so a partial point that a polynomial kills is
+never extended.  The Jacobian quadrics x_i^2 + 2 x_(i+1) x_(i+2) involve
+three consecutive coordinates each, which keeps about q partial points
+alive per stage instead of q^4 points overall.
 """
 
 from __future__ import annotations
@@ -105,13 +117,6 @@ def point_blocks(ncoords: int, q: int, block_size: int = DEFAULT_BLOCK):
             yield block
 
 
-def canonical_points(ncoords: int, q: int) -> np.ndarray:
-    """All canonical points at once; prefer point_blocks for large fields."""
-    pts = np.concatenate(list(point_blocks(ncoords, q)), axis=0)
-    assert pts.shape[0] == projective_point_count(ncoords, q)
-    return pts
-
-
 def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
     """Values of f at each row of X, mod q; coefficients must be rational."""
     from .exactnum import fraction_mod
@@ -124,6 +129,60 @@ def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
                 term = term * X[:, i] % q
         total = (total + term) % q
     return total
+
+
+def common_zeros(polys: list[SparsePoly], ncoords: int, q: int,
+                 block_size: int = DEFAULT_BLOCK) -> np.ndarray:
+    """Canonical points of P^(ncoords-1)(F_q) where every polynomial vanishes.
+
+    Rows come in scan order, the order of point_blocks.  Points are built
+    one coordinate at a time, and each polynomial is imposed as soon as its
+    last variable is assigned; no stage holds more than block_size rows.
+    """
+    # evaluate_poly_batch forms products below q^2, which must fit in int64
+    if q >= 2 ** 31:
+        raise ValueError(f"q = {q} is too large: q must be below 2^31")
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+    if any(f.nvars != ncoords for f in polys):
+        raise ValueError(f"every polynomial must have {ncoords} variables")
+    # the last variable each polynomial involves; -1 for a constant
+    last = [max((v for exps in f.terms for v, e in enumerate(exps) if e), default=-1)
+            for f in polys]
+    found = []
+    for lead in range(ncoords):
+        due = [[] for _ in range(ncoords)]
+        for f, v in zip(polys, last):
+            due[max(v, lead)].append(f)
+        start = np.zeros((1, lead + 1), dtype=np.int64)
+        start[0, lead] = 1
+        found.extend(_sieve(start, due, q, block_size))
+    return np.concatenate(found) if found else np.empty((0, ncoords), dtype=np.int64)
+
+
+def _sieve(partial: np.ndarray, due: list[list[SparsePoly]], q: int, block_size: int):
+    """Complete zeros extending the partial points, in blocks, in scan order.
+
+    due[k] holds the polynomials to impose once coordinate k is assigned.
+    """
+    stage = partial.shape[1] - 1
+    for f in due[stage]:
+        partial = partial[evaluate_poly_batch(f, partial, q) == 0]
+    if stage == len(due) - 1:
+        if partial.shape[0]:
+            yield partial
+        return
+    # candidate t is partial row t // q extended by the value t % q
+    total = partial.shape[0] * q
+    for begin in range(0, total, block_size):
+        t = np.arange(begin, min(begin + block_size, total), dtype=np.int64)
+        rows, value = np.divmod(t, q)
+        # column-major, so each coordinate is one contiguous array
+        extended = np.empty((stage + 2, t.size), dtype=np.int64).T
+        for c in range(stage + 1):
+            np.take(partial[:, c], rows, out=extended[:, c])
+        extended[:, -1] = value
+        yield from _sieve(extended, due, q, block_size)
 
 
 def _entry_monomials(matrix: SkewMatrix) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -283,11 +342,7 @@ def find_stratum_point(d: int, q: int, target_rank: int) -> ProjPoint | None:
 def ci_curve_points_d9(q: int) -> set[tuple[int, ...]]:
     """Common zeros in P^3(F_q) of the two golden complete-intersection cubics."""
     cubics = golden.load_poly_list("ci_curve_d9.txt", [f"x{i}" for i in range(1, 5)])
-    pts = canonical_points(4, q)
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for f in cubics:
-        mask &= evaluate_poly_batch(f, pts, q) == 0
-    return {tuple(int(c) for c in row) for row in pts[mask]}
+    return {tuple(int(c) for c in row) for row in common_zeros(cubics, 4, q)}
 
 
 def special_points_d9_mod(q: int) -> set[tuple[int, ...]]:
@@ -338,20 +393,10 @@ def jacobian_zero_counts(q: int) -> dict:
 
     if q == 2:
         raise ValueError("q = 2 degenerates the factor 2 in the system")
-    quadrics = jacobian_quadrics()
-    cubic = klein_cubic()
-    jac_count = 0
-    full = 0
-    for pts in point_blocks(5, q):
-        mask = np.ones(pts.shape[0], dtype=bool)
-        for f in quadrics:
-            mask &= evaluate_poly_batch(f, pts, q) == 0
-        jac_count += int(np.count_nonzero(mask))
-        hits = pts[mask]
-        if hits.shape[0]:
-            cubic_vals = evaluate_poly_batch(cubic, hits, q)
-            full += int(np.count_nonzero(cubic_vals == 0))
-    return {"jacobian": jac_count, "system": full}
+    zeros = common_zeros(jacobian_quadrics(), 5, q)
+    # the cubic involves every variable, so it is imposed on complete points
+    on_cubic = evaluate_poly_batch(klein_cubic(), zeros, q) == 0
+    return {"jacobian": zeros.shape[0], "system": int(np.count_nonzero(on_cubic))}
 
 
 # -- reporting -------------------------------------------------------------------

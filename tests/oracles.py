@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from heisencheck.exactnum import cyclotomic_polynomial, euler_phi
+from heisencheck.ffscan import evaluate_poly_batch, point_blocks, projective_point_count
 from heisencheck.hilbert import _monomial_exps
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key
 
@@ -82,6 +83,25 @@ def project_rows(killed: set[int], poly_rows, ncols: int):
         seen.add(entries)
         dense.append(entries)
     return len(survivors), dense
+
+
+# -- the slow path behind ffscan.common_zeros: every point of P^(n-1)(F_q) -----
+
+
+def canonical_points(ncoords: int, q: int) -> np.ndarray:
+    """All canonical points at once, in scan order."""
+    pts = np.concatenate(list(point_blocks(ncoords, q)), axis=0)
+    assert pts.shape[0] == projective_point_count(ncoords, q)
+    return pts
+
+
+def scan_common_zeros(polys: list[SparsePoly], ncoords: int, q: int) -> np.ndarray:
+    """Every polynomial evaluated at every canonical point; the zeros in scan order."""
+    pts = canonical_points(ncoords, q)
+    mask = np.ones(pts.shape[0], dtype=bool)
+    for f in polys:
+        mask &= evaluate_poly_batch(f, pts, q) == 0
+    return pts[mask]
 
 
 # -- the slow path behind mpoly.graded_monomials --------------------------------

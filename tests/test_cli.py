@@ -54,6 +54,7 @@ def test_config_rejects_unscannable_prime(field, q):
     ("rank_primes", (1073741789,), "two distinct primes"),
     ("rank_primes", (1073741789, 2147483659), "too large"),
     ("jacobian_primes", (), "at least one odd prime"),
+    ("jacobian_primes", (3, 2147483659), "too large"),
 ])
 def test_config_rejects_bad_primes(field, value, message):
     with pytest.raises(ValueError, match=f"{field}: .*{message}"):
@@ -183,7 +184,8 @@ def test_verify_uses_config_file(tmp_path):
     assert flatness["details"]["target"] == [1, 9, 36, 81, 144]
 
 
-def test_bad_config_is_usage_error(tmp_path, capsys):
+def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _must_not_run)
     config = tmp_path / "bad.cfg"
     config.write_text("nonsense_key = 1\n")
     assert main(["verify", "--config", str(config)]) == 2
@@ -198,7 +200,8 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     for line in ("jacobian_primes = 9,15", "jacobian_primes = 2", "jacobian_primes =",
                  "rank_primes = 4,6",
                  "rank_primes = 1073741789,1073741789",
-                 "rank_primes = 1073741789,2147483659"):
+                 "rank_primes = 1073741789,2147483659",
+                 "jacobian_primes = 2147483659"):
         config.write_text(line + "\n")
         assert main(["verify", "--config", str(config)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err

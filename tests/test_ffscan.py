@@ -8,10 +8,11 @@ from heisencheck.ffscan import (
     _batch_ranks,
     _kernel_dtype,
     _signed_sum,
-    canonical_points,
+    DEFAULT_BLOCK,
     check_scan_prime,
     census_csv,
     ci_curve_points_d9,
+    common_zeros,
     find_stratum_point,
     jacobian_zero_counts,
     jacobian_zero_scan,
@@ -20,7 +21,10 @@ from heisencheck.ffscan import (
     scan_strata,
     special_points_d9_mod,
 )
+from heisencheck.grassfano import jacobian_quadrics, klein_cubic
 from heisencheck.heisenberg import s_matrix
+from heisencheck.mpoly import SparsePoly
+from oracles import canonical_points, scan_common_zeros
 
 
 def test_canonical_points_cover_projective_space():
@@ -259,6 +263,100 @@ def test_jacobian_counts_detail():
     assert counts11["system"] == counts11["jacobian"] == 1  # the group prime is special
     with pytest.raises(ValueError):
         jacobian_zero_scan(2)
+
+
+@pytest.mark.parametrize("q", [101, 1009])
+def test_jacobian_counts_at_certificate_primes(q):
+    # primes where the Macaulay Hilbert function of the system reaches 0
+    assert jacobian_zero_counts(q) == {"jacobian": 0, "system": 0}
+
+
+def _jacobian_systems():
+    quadrics = jacobian_quadrics()
+    # the proper subsets keep many zeros, so the row order is exercised
+    return [quadrics[:1], quadrics[:3], quadrics, quadrics + [klein_cubic()]]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_common_zeros_of_the_jacobian_system_match_the_scan(q):
+    systems = _jacobian_systems()
+    sieved = [common_zeros(system, 5, q) for system in systems]
+    for system, pts in zip(systems, sieved):
+        assert pts.shape[1] == 5
+        assert pts.tolist() == scan_common_zeros(system, 5, q).tolist()
+    assert jacobian_zero_counts(q) == {"jacobian": len(sieved[2]), "system": len(sieved[3])}
+
+
+@pytest.mark.parametrize("q", [3, 11, 13])
+def test_common_zeros_do_not_depend_on_the_block_size(q):
+    for system in _jacobian_systems():
+        expected = scan_common_zeros(system, 5, q).tolist()
+        # block sizes below q also split the range of one coordinate
+        for block_size in (1, 7, DEFAULT_BLOCK):
+            assert common_zeros(system, 5, q, block_size=block_size).tolist() == expected
+
+
+def test_common_zeros_hold_at_most_one_block_per_stage(monkeypatch):
+    import heisencheck.ffscan as ffscan
+
+    sizes = []
+    evaluate = ffscan.evaluate_poly_batch
+
+    def spy(f, X, q):
+        sizes.append(X.shape[0])
+        return evaluate(f, X, q)
+
+    monkeypatch.setattr(ffscan, "evaluate_poly_batch", spy)
+    pts = common_zeros(jacobian_quadrics()[:2], 5, 13, block_size=100)
+    assert len(pts) == len(scan_common_zeros(jacobian_quadrics()[:2], 5, 13))
+    assert max(sizes) <= 100
+
+
+@st.composite
+def _sparse_system(draw):
+    ncoords = draw(st.integers(2, 5))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def poly():
+        support = draw(st.sets(st.integers(0, ncoords - 1)))
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exps = tuple(draw(st.integers(0, 3)) if v in support else 0 for v in range(ncoords))
+            terms[exps] = draw(st.integers(-4, 4))
+        return SparsePoly(ncoords, terms)
+
+    return ncoords, q, [poly() for _ in range(draw(st.integers(0, 4)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sparse_system(), st.sampled_from([1, 7, DEFAULT_BLOCK]))
+def test_common_zeros_match_the_scan_on_random_systems(system, block_size):
+    ncoords, q, polys = system
+    expected = scan_common_zeros(polys, ncoords, q).tolist()
+    assert common_zeros(polys, ncoords, q, block_size=block_size).tolist() == expected
+
+
+@pytest.mark.parametrize("ncoords,q", [(2, 2), (3, 5), (5, 7)])
+def test_common_zeros_of_constants(ncoords, q):
+    every = canonical_points(ncoords, q).tolist()
+    zero, one = SparsePoly.zero(ncoords), SparsePoly.constant(ncoords, 3)
+    assert common_zeros([], ncoords, q).tolist() == every
+    assert common_zeros([zero], ncoords, q).tolist() == every
+    assert common_zeros([zero, one], ncoords, q).shape == (0, ncoords)
+    # 3 vanishes mod 3, so it imposes nothing there
+    assert len(common_zeros([one], ncoords, 3)) == len(canonical_points(ncoords, 3))
+
+
+@pytest.mark.parametrize("q,message", [(15, "not prime"), (1, "not prime"),
+                                       (2147483659, "too large")])
+def test_common_zeros_reject_unusable_fields(q, message):
+    with pytest.raises(ValueError, match=message):
+        common_zeros(jacobian_quadrics(), 5, q)
+
+
+def test_common_zeros_reject_a_wrong_arity():
+    with pytest.raises(ValueError, match="variables"):
+        common_zeros(jacobian_quadrics(), 4, 7)
 
 
 def test_census_csv():
