@@ -3,5 +3,5 @@
 __version__ = "0.1.0"
 
 from .exactnum import CycloNum, Rational  # noqa: F401
-from .mpoly import SparsePoly, Ideal  # noqa: F401
+from .mpoly import SparsePoly  # noqa: F401
 from .pfaffian import SkewMatrix  # noqa: F401

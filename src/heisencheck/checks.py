@@ -23,6 +23,7 @@ from .chartab import (
     IDENTITY,
     character,
     character_table,
+    class_of,
     conjugacy_classes,
     decompose,
     element_power,
@@ -273,23 +274,13 @@ def check_d11_plucker_decomposable(ctx: RunContext):
     if witness is None:
         return FAIL, {"error": f"no rank-4 point over F_{q}"}
     point = list(witness.coords)
-    coords = {
-        (i, j): poly.evaluate_mod(point, q)
-        for (i, j), poly in theta_plucker_d11().coords.items()
-    }
+    pmat = evaluate_skew_mod(theta_plucker_d11(), point, q)
     residues = [
-        (coords[(i, j)] * coords[(k, l)]
-         - coords[(i, k)] * coords[(j, l)]
-         + coords[(i, l)] * coords[(j, k)]) % q
-        for i, j, k, l in itertools.combinations(range(1, 7), 4)
+        (pmat[i][j] * pmat[k][l] - pmat[i][k] * pmat[j][l] + pmat[i][l] * pmat[j][k]) % q
+        for i, j, k, l in itertools.combinations(range(6), 4)
     ]
     decomposable = all(r == 0 for r in residues)
     # the evaluated Plucker matrix is a rank-2 form whose rows kill S(P)
-    pmat = [
-        [(coords[(i, j)] if i < j else (-coords[(j, i)]) % q) if i != j else 0
-         for j in range(1, 7)]
-        for i in range(1, 7)
-    ]
     rank2 = rank_gauss_mod(pmat, q) == 2
     s_rows = evaluate_skew_mod(s_matrix(11), point, q)
     kills = all(
@@ -568,12 +559,11 @@ def check_chars_classes(ctx: RunContext):
     rng = random.Random(11)
     classes = conjugacy_classes()
     member_ok = True
-    elt_to_class = {g: i for i, cls in enumerate(classes) for g in cls}
     for ci, cls in enumerate(classes):
         members = rng.sample(sorted(cls), min(10, len(cls)))
         for g in members:
             for k in (2, 3):
-                if elt_to_class[element_power(g, k)] != power_map(ci, k):
+                if class_of(element_power(g, k)) != power_map(ci, k):
                     member_ok = False
     ok = all(relations.values()) and sizes == [1, 55, 110, 132, 132, 110, 60, 60] and power_ok and member_ok
     return (PASS if ok else FAIL), {

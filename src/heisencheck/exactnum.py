@@ -8,6 +8,11 @@ equality is comparison of integers, and arithmetic builds no Fraction.
 Orders used downstream are n in {9, 11, 55}; the code is generic in n: a
 coefficient list of any length is folded mod n and then reduced mod Phi_n,
 which is monic and integral, so reduction stays in the integers.
+
+One map moves values between fields: xi -> xi^a, which puts coefficient k
+at position k*a.  It gives complex conjugation (a = -1), the embedding of
+Q(xi_m) into Q(xi_n) (a = n/m), and the Galois automorphisms behind the
+inverse, which is the product of the conjugates over the norm.
 """
 
 from __future__ import annotations
@@ -19,9 +24,6 @@ from functools import lru_cache
 # Rationals are stdlib Fractions: already normalized (gcd 1, positive
 # denominator), hashable and exact.
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -267,21 +269,19 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
+        """x^-1 = prod_(a != 1) sigma_a(x) / N(x), over the units a mod n;
+        the norm N(x) = x * prod_(a != 1) sigma_a(x) is rational."""
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        # extended Euclid in Q[t] against Phi_n, on the numerator alone
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi_poly, [Fraction(c) for c in self._num]
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # gcd is a nonzero constant since Phi_n is irreducible
-        r0 = _trim(r0)
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        return CycloNum(self.order, [c * self._den / r0[0] for c in s0])
+        n = self.order
+        conjugates = CycloNum.one(n)
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                conjugates = conjugates * _power_map(self, a, n)
+        norm = self * conjugates
+        if not norm.is_rational():
+            raise ArithmeticError(f"the norm of {self!r} is not rational")
+        return conjugates._scale(norm._den, norm._num[0])
 
     def __truediv__(self, other):
         if isinstance(other, CycloNum):
@@ -310,12 +310,7 @@ class CycloNum:
 
     def conjugate(self) -> "CycloNum":
         """Complex conjugation, xi -> xi^(-1)."""
-        n = self.order
-        out = [0] * n
-        for k, c in enumerate(self._num):
-            out[-k % n] = c
-        # an automorphism of Z[xi] keeps gcd(den, *num) = 1
-        return _make(n, _reduce(n, out), self._den)
+        return _power_map(self, -1, self.order)
 
     # -- comparisons ------------------------------------------------------
 
@@ -348,42 +343,18 @@ class CycloNum:
         return f"CycloNum({self.order}, {body})"
 
 
-def _trim(poly):
-    while len(poly) > 1 and not poly[-1]:
-        poly = poly[:-1]
-    return poly
+def _power_map(x: CycloNum, a: int, target_order: int) -> CycloNum:
+    """Image of x under xi -> xi_n^a, n = target_order: coefficient k moves
+    to position k*a mod n.
 
-
-def _poly_divmod_frac(num, den):
-    num = _trim(list(num))
-    den = _trim(list(den))
-    if len(num) < len(den):
-        return [_ZERO], num
-    q = [_ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] / lead
-        q[k] = c
-        if c:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    return q, _trim(num)
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    Callers use only injective ring maps of Z[xi] (automorphisms, a prime
+    to n, and embeddings, a = n/m), and Z[xi_n] meets the image of Q(xi_m)
+    in the image of Z[xi_m], so gcd(den, *num) stays 1.
+    """
+    out = [0] * target_order
+    for k, c in enumerate(x._num):
+        out[k * a % target_order] += c
+    return _make(target_order, _reduce(target_order, out), x._den)
 
 
 def embed(a: CycloNum, target_order: int) -> CycloNum:
@@ -391,12 +362,7 @@ def embed(a: CycloNum, target_order: int) -> CycloNum:
     m = a.order
     if target_order % m != 0:
         raise ValueError(f"order {m} does not divide {target_order}")
-    step = target_order // m
-    out = [0] * target_order
-    for k, c in enumerate(a._num):
-        out[k * step] = c
-    # Z[xi_n] meets Q(xi_m) in Z[xi_m], so gcd(den, *num) stays 1
-    return _make(target_order, _reduce(target_order, out), a._den)
+    return _power_map(a, target_order // m, target_order)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -441,3 +407,13 @@ def fraction_mod(x: Fraction, q: int) -> int:
         raise ZeroDivisionError(f"denominator of {x} vanishes mod {q}")
     return (num % q) * modular_inverse(den, q) % q
 
+
+def cyclo_mod(x: CycloNum, root: int, q: int) -> int:
+    """Image of x in F_q under xi -> root, for a root of exact order x.order
+    in F_q: (sum_k num_k root^k) / den mod q."""
+    if x._den % q == 0:
+        raise ZeroDivisionError(f"denominator of {x!r} vanishes mod {q}")
+    acc = 0
+    for c in reversed(x._num):
+        acc = (acc * root + c) % q
+    return acc * modular_inverse(x._den, q) % q

@@ -37,11 +37,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactnum import is_prime, nth_root_in_prime_field
-from .heisenberg import pminus_chart, s_matrix
+from .exactnum import cyclo_mod, is_prime, nth_root_in_prime_field
+from .heisenberg import s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
 from .pfaffian import SkewMatrix
+from .surface9 import restrict_point_d9, special_points_d9
 from . import golden
 
 CROSS_CHECK_SAMPLES = 512
@@ -348,21 +349,9 @@ def ci_curve_points_d9(q: int) -> set[tuple[int, ...]]:
 def special_points_d9_mod(q: int) -> set[tuple[int, ...]]:
     """Reductions of the four isolated rank-2 points, as canonical chart points."""
     root = nth_root_in_prime_field(9, q)
-    chart = pminus_chart(9)
-    labeled = golden.load_labeled("special_points_d9.txt")
     out = set()
-    for name in ("P1", "P2", "P3", "P4"):
-        full = []
-        for cell in labeled[name].split(","):
-            f = golden.parse_poly(cell.strip(), ["z"])
-            full.append(f.evaluate_mod([root], q))
-        # oddness holds exactly mod q as well
-        if full[0] % q != 0:
-            raise AssertionError("special point leaves the odd eigenspace mod q")
-        for k in range(1, chart.half + 1):
-            if (full[9 - k] + full[k]) % q != 0:
-                raise AssertionError("special point violates the odd sign rule mod q")
-        coords = [full[k] % q for k in range(1, chart.half + 1)]
+    for P in special_points_d9():
+        coords = [cyclo_mod(c, root, q) for c in restrict_point_d9(P)]
         lead = next(c for c in coords if c)
         inv = pow(lead, q - 2, q)
         out.add(tuple(c * inv % q for c in coords))

@@ -23,39 +23,14 @@ PF_SEXTIC_SIGN = 1
 KLEIN_PF_SIGN = -1
 
 
-class PluckerVector:
-    """C(2m, 2) coordinates p_ij, 1 <= i < j <= 2m."""
-
-    def __init__(self, m: int, coords: dict) -> None:
-        self.m = m
-        self.coords = {}
-        for (i, j), v in coords.items():
-            if not (1 <= i < j <= 2 * m):
-                raise ValueError(f"bad Plucker label ({i}, {j})")
-            self.coords[(i, j)] = v
-
-    def __getitem__(self, key):
-        i, j = key
-        if i == j:
-            raise KeyError("Plucker labels must differ")
-        if i < j:
-            return self.coords.get((i, j), 0)
-        v = self.coords.get((j, i), 0)
-        return -v if v else 0
-
-
 # -- the kernel map in Plucker coordinates -------------------------------------
 
 
 @lru_cache(maxsize=None)
-def theta_plucker_d11() -> PluckerVector:
-    """Adjugate entries of the 6x6 quadric matrix as quartic coordinates."""
-    adj = s_matrix(11).adjugate()
-    coords = {}
-    for i in range(6):
-        for j in range(i + 1, 6):
-            coords[(i + 1, j + 1)] = adj.entry(i, j)
-    return PluckerVector(3, coords)
+def theta_plucker_d11() -> SkewMatrix:
+    """The adjugate of the 6x6 quadric matrix: entry (i-1, j-1) is the
+    quartic Plucker coordinate p_ij."""
+    return s_matrix(11).adjugate()
 
 
 PLUCKER_VARIABLES = [f"p{i}{j}" for i in range(1, 7) for j in range(i + 1, 7)]
@@ -67,12 +42,12 @@ def v14_linear_forms() -> list[SparsePoly]:
     return golden.load_poly_list("v14_relations.txt", PLUCKER_VARIABLES)
 
 
-def evaluate_on_plucker(form: SparsePoly, p: PluckerVector, nvars_out: int) -> SparsePoly:
-    """Substitute p_ij coordinate polynomials into a form on Plucker space."""
+def evaluate_on_plucker(form: SparsePoly, p: SkewMatrix, nvars_out: int) -> SparsePoly:
+    """Substitute the entries p_ij = p.entry(i-1, j-1) into a form on Plucker space."""
     mapping = {}
     for idx, name in enumerate(PLUCKER_VARIABLES):
         i, j = int(name[1]), int(name[2])
-        v = p[i, j]
+        v = p.entry(i - 1, j - 1)
         if not isinstance(v, SparsePoly):
             v = SparsePoly.constant(nvars_out, v)
         mapping[idx] = v
@@ -155,9 +130,7 @@ def jacobian_system() -> list[tuple[int, Fraction, SparsePoly]]:
     match is a bijection.
     """
     M, _ = klein_from_hyperplanes()
-    adj = M.adjugate()
-    coords = {(i + 1, j + 1): adj.entry(i, j) for i in range(6) for j in range(i + 1, 6)}
-    p = PluckerVector(3, coords)
+    p = M.adjugate()
     quadrics = jacobian_quadrics()
     matches = []
     used = set()

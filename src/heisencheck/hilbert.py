@@ -20,28 +20,17 @@ from operator import mul
 import numpy as np
 
 from .linalg import rank_fraction, rank_mod
-from .mpoly import SparsePoly, graded_monomials
+from .mpoly import SparsePoly, graded_monomials, monomial_divides, monomial_exponents
 
 # Two 30-bit primes away from 2, 3, 5, 11; recorded in the run config.
 RANK_PRIMES = (1073741789, 1073741783)
-
-
-def _monomial_exps(g: SparsePoly) -> tuple[int, ...] | None:
-    if len(g.terms) != 1:
-        return None
-    (exps, _), = g.terms.items()
-    return exps
-
-
-def _divides(d: tuple[int, ...], e: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(d, e))
 
 
 def monomial_hilbert(generators, nvars: int, t_max: int) -> list[int]:
     """values[t] = number of degree-t monomials outside the monomial ideal."""
     divisors = []
     for g in generators:
-        exps = g if isinstance(g, tuple) else _monomial_exps(g)
+        exps = g if isinstance(g, tuple) else monomial_exponents(g)
         if exps is None:
             raise ValueError(f"non-monomial generator {g}")
         divisors.append(exps)
@@ -49,7 +38,7 @@ def monomial_hilbert(generators, nvars: int, t_max: int) -> list[int]:
     for t in range(t_max + 1):
         free = 0
         for mono in graded_monomials(nvars, t):
-            if not any(_divides(d, mono) for d in divisors):
+            if not any(monomial_divides(d, mono) for d in divisors):
                 free += 1
         values.append(free)
     return values
@@ -66,7 +55,7 @@ class SimplicialComplex:
     def from_squarefree_ideal(cls, generators, nvars: int) -> "SimplicialComplex":
         supports = []
         for g in generators:
-            exps = g if isinstance(g, tuple) else _monomial_exps(g)
+            exps = g if isinstance(g, tuple) else monomial_exponents(g)
             if exps is None or any(e > 1 for e in exps):
                 raise ValueError(f"generator {g} is not squarefree")
             supports.append(frozenset(i for i, e in enumerate(exps) if e))
@@ -126,7 +115,7 @@ def _macaulay_rows(generators: list[SparsePoly], nvars: int, t_max: int):
         dg = g.degree()
         if dg > t_max or g.is_zero():
             continue
-        exps = _monomial_exps(g)
+        exps = monomial_exponents(g)
         if exps is not None:
             monomials.append((dg, pack(exps)))
         else:

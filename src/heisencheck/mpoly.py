@@ -277,7 +277,16 @@ class SparsePoly:
 # -- division ---------------------------------------------------------------
 
 
-def _exps_divides(d: tuple[int, ...], e: tuple[int, ...]) -> bool:
+def monomial_exponents(g: SparsePoly) -> tuple[int, ...] | None:
+    """The exponent vector of a single-term polynomial, else None."""
+    if len(g.terms) != 1:
+        return None
+    (exps, _), = g.terms.items()
+    return exps
+
+
+def monomial_divides(d: tuple[int, ...], e: tuple[int, ...]) -> bool:
+    """Whether the monomial with exponents d divides the one with exponents e."""
     return all(a <= b for a, b in zip(d, e))
 
 
@@ -292,7 +301,7 @@ def divmod_single(f: SparsePoly, d: SparsePoly) -> tuple[SparsePoly, SparsePoly]
     work = f
     while work.terms:
         exps, coeff = work.leading_term()
-        if _exps_divides(d_exps, exps):
+        if monomial_divides(d_exps, exps):
             q_exps = tuple(a - b for a, b in zip(exps, d_exps))
             q_coeff = coeff / d_coeff
             t = SparsePoly(f.nvars, {q_exps: q_coeff})
@@ -327,30 +336,6 @@ def graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
             for d in range(degree + 1)
         ]
     return by_degree[degree]
-
-
-class Ideal:
-    """Homogeneous ideal presented by generators."""
-
-    __slots__ = ("nvars", "generators")
-
-    def __init__(self, nvars: int, generators: Iterable[SparsePoly]) -> None:
-        gens = list(generators)
-        for g in gens:
-            if g.nvars != nvars:
-                raise ValueError("generator arity mismatch")
-            if g.is_zero():
-                raise ValueError("zero generator")
-            if not g.is_homogeneous():
-                raise ValueError(f"inhomogeneous generator {g}")
-        self.nvars = nvars
-        self.generators = gens
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
 
 
 # -- canonical text form ------------------------------------------------------

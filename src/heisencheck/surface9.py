@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from . import golden
 from .heisenberg import build_moore, pminus_chart, s_matrix, sigma, v_dot_R
-from .mpoly import Ideal, SparsePoly, divmod_single
+from .mpoly import SparsePoly, divmod_single, monomial_divides, monomial_exponents
 
 # z0 is the degeneration parameter (a 9-gon secant point) and P the common
 # base point of every subrepresentation of quadrics with v0 = -v3.
@@ -101,13 +101,10 @@ def moore_z0():
 
 def reduce_mod_monomials(f: SparsePoly, monomials: list[SparsePoly]) -> SparsePoly:
     """Delete every term divisible by one of the given monomials."""
-    divisors = []
-    for m in monomials:
-        (exps, _), = m.terms.items()
-        divisors.append(exps)
+    divisors = [monomial_exponents(m) for m in monomials]
     kept = {}
     for exps, c in f.terms.items():
-        if not any(all(a <= b for a, b in zip(d, exps)) for d in divisors):
+        if not any(monomial_divides(d, exps) for d in divisors):
             kept[exps] = c
     return SparsePoly(f.nvars, kept)
 
@@ -188,9 +185,6 @@ class JFamilyIdeal:
             if t:
                 gens.append(t)
         return gens
-
-    def ideal(self) -> Ideal:
-        return Ideal(9, self.generators())
 
 
 @lru_cache(maxsize=None)

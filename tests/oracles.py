@@ -7,8 +7,7 @@ import numpy as np
 
 from heisencheck.exactnum import cyclotomic_polynomial, euler_phi
 from heisencheck.ffscan import evaluate_poly_batch, point_blocks, projective_point_count
-from heisencheck.hilbert import _monomial_exps
-from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key
+from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
 
 def partial(f: SparsePoly, i: int) -> SparsePoly:
@@ -55,7 +54,7 @@ def degree_rows(generators: list[SparsePoly], nvars: int, t: int):
         dg = g.degree()
         if dg > t or g.is_zero():
             continue
-        exps = _monomial_exps(g)
+        exps = monomial_exponents(g)
         if exps is not None:
             for m in graded_monomials(nvars, t - dg):
                 shifted = tuple(a + b for a, b in zip(exps, m))

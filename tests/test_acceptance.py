@@ -129,14 +129,13 @@ def test_c04_plucker_three_term_identity():
         for _ in range(50):
             m = random_skew(6, rng)
             pfm = m.pfaffian()
+            # each sub-Pfaffian once, keyed by the deleted indices
+            sub = {idx: m.sub_pfaffian(idx)
+                   for r in (2, 4) for idx in itertools.combinations(range(6), r)}
             for quad in itertools.combinations(range(6), 4):
                 i, j, k, l = quad
-                lhs = (
-                    m.sub_pfaffian({i, j}) * m.sub_pfaffian({k, l})
-                    - m.sub_pfaffian({i, k}) * m.sub_pfaffian({j, l})
-                    + m.sub_pfaffian({i, l}) * m.sub_pfaffian({j, k})
-                )
-                assert lhs == pfm * m.sub_pfaffian(set(quad))
+                lhs = sub[i, j] * sub[k, l] - sub[i, k] * sub[j, l] + sub[i, l] * sub[j, k]
+                assert lhs == pfm * sub[quad]
 
 
 def test_c05_klein_pfaffian_and_adjugate():

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from heisencheck.exactnum import (
     CycloNum,
+    cyclo_mod,
     cyclotomic_polynomial,
     embed,
     euler_phi,
+    fraction_mod,
     legendre_symbol,
     nth_root_in_prime_field,
     quadratic_gauss_sum,
@@ -248,3 +250,23 @@ def test_integer_vector_matches_the_fraction_oracle(n):
             assert (quotient._num, quotient._den) == (a._num, a._den)
 
     run()
+
+
+@pytest.mark.parametrize("n,q", [(9, 19), (9, 73), (11, 23), (11, 67), (55, 331), (55, 661)])
+def test_reduction_mod_q_is_a_ring_homomorphism(n, q):
+    base = nth_root_in_prime_field(n, q)
+    units = [k for k in range(1, n) if math.gcd(k, n) == 1]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(rational_elements(n), rational_elements(n), st.sampled_from(units),
+           st.fractions(min_value=-7, max_value=7, max_denominator=9))
+    def run(a, b, k, r):
+        root = pow(base, k, q)  # every root of exact order n is a unit power of one
+        assert cyclo_mod(a + b, root, q) == (cyclo_mod(a, root, q) + cyclo_mod(b, root, q)) % q
+        assert cyclo_mod(a * b, root, q) == cyclo_mod(a, root, q) * cyclo_mod(b, root, q) % q
+        assert cyclo_mod(CycloNum.root(n), root, q) == root
+        assert cyclo_mod(CycloNum.from_rational(n, r), root, q) == fraction_mod(r, q)
+
+    run()
+    with pytest.raises(ZeroDivisionError):
+        cyclo_mod(CycloNum.root(n) / q, base, q)

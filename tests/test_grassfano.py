@@ -1,10 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 from heisencheck import golden
 from heisencheck.grassfano import (
     KLEIN_PF_SIGN,
     PF_SEXTIC_SIGN,
-    PluckerVector,
     golden_sextic,
     jacobian_quadrics,
     jacobian_system,
@@ -38,7 +38,7 @@ def test_three_term_combination_divisible_by_sextic():
     # complementary 2x2 sub-Pfaffian
     p = theta_plucker_d11()
     s = s_matrix(11)
-    combo = p[1, 2] * p[3, 4] - p[1, 3] * p[2, 4] + p[1, 4] * p[2, 3]
+    combo = p.entry(0, 1) * p.entry(2, 3) - p.entry(0, 2) * p.entry(1, 3) + p.entry(0, 3) * p.entry(1, 2)
     q = divide_exact(combo, golden_sextic())
     assert q is not None
     assert q == s.sub_pfaffian({0, 1, 2, 3}).scale(PF_SEXTIC_SIGN)
@@ -46,7 +46,8 @@ def test_three_term_combination_divisible_by_sextic():
 
 def test_all_quartic_coordinates():
     p = theta_plucker_d11()
-    for key, poly in p.coords.items():
+    for i, j in combinations(range(6), 2):
+        poly = p.entry(i, j)
         if poly:
             assert poly.is_homogeneous() and poly.degree() == 4
 
@@ -117,15 +118,6 @@ def test_jacobian_ideal_degreewise_equals_partials():
     assert r_part == r_sys == r_both == 5
 
 
-def test_plucker_vector_validation():
-    import pytest
-
-    with pytest.raises(ValueError):
-        PluckerVector(3, {(0, 1): 1})
-    p = PluckerVector(3, {(1, 2): Fraction(3)})
-    assert p[2, 1] == -3
-
-
 def test_sextic_evaluations():
     f6 = golden_sextic()
     # every term involves at least two distinct variables
@@ -152,10 +144,10 @@ def test_kernel_map_at_several_rank4_points():
         if rank_at_point(11, q, point) != 4:
             continue
         pmat = [
-            [p[i, j].evaluate_mod(point, q) if i < j
-             else ((-p[j, i].evaluate_mod(point, q)) % q if i > j else 0)
-             for j in range(1, 7)]
-            for i in range(1, 7)
+            [p.entry(i, j).evaluate_mod(point, q) if i < j
+             else ((-p.entry(j, i).evaluate_mod(point, q)) % q if i > j else 0)
+             for j in range(6)]
+            for i in range(6)
         ]
         assert rank_gauss_mod(pmat, q) == 2
         found += 1

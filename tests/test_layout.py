@@ -18,7 +18,6 @@ ALLOWED = {
     "ffscan.jacobian_zero_scan":
         "the acceptance tests use it; the Macaulay-certificate item decides its fate",
     "heisenberg.iota": "the index involution is one of the actions the README describes",
-    "surface9.JFamilyIdeal.ideal": "the family member as an Ideal, the package's exported type",
 }
 
 

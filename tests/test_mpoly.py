@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from heisencheck.exactnum import CycloNum
 from heisencheck.mpoly import (
-    Ideal,
     SparsePoly,
     divide_exact,
     divmod_single,
@@ -159,12 +158,3 @@ def test_derivative_and_homogeneous():
     assert df == SparsePoly.monomial(3, [0, 1], 2)
     assert df.is_homogeneous()
     assert not (f + SparsePoly.variable(3, 0)).is_homogeneous()
-
-
-def test_ideal_validation():
-    x = SparsePoly.variable(2, 0)
-    with pytest.raises(ValueError):
-        Ideal(2, [SparsePoly.zero(2)])
-    with pytest.raises(ValueError):
-        Ideal(2, [x + SparsePoly.constant(2, 1)])
-    assert len(Ideal(2, [x])) == 1
