@@ -131,10 +131,12 @@ class RunConfig:
             raise ValueError("t_max must be at least 2")
         if self.format not in ("json", "text"):
             raise ValueError("format must be json or text")
-        if len(self.lambda_mu_samples) < 2:
-            raise ValueError("need at least two (lambda : mu) samples")
-        if any(lam == 0 and mu == 0 for lam, mu in self.lambda_mu_samples):
-            raise ValueError("(0 : 0) is not a point of P^1")
+        samples = self.lambda_mu_samples
+        if any(lam == 0 and mu == 0 for lam, mu in samples):
+            raise ValueError("lambda_mu_samples: (0 : 0) is not a point of P^1")
+        # (lam : mu) and (lam' : mu') are one point of P^1 when lam mu' = lam' mu
+        if all(lam * mu2 == lam2 * mu for lam, mu in samples for lam2, mu2 in samples):
+            raise ValueError("lambda_mu_samples: need at least two distinct points of P^1")
         if not self.jacobian_primes:
             raise ValueError("jacobian_primes: need at least one odd prime")
         for q in self.jacobian_primes:

@@ -64,7 +64,10 @@ def write_atomic(path: str, content: str) -> None:
 
 
 def check_output_dir(path: str) -> None:
-    """Refuse an output path whose directory does not exist, before any work."""
+    """Refuse an output path that names a directory or whose directory does
+    not exist, before any work."""
+    if os.path.isdir(path):
+        raise ValueError(f"{path} is a directory, not a file")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"{path}: directory {directory} does not exist")

@@ -10,15 +10,18 @@ evaluated as vectorized arithmetic over a block of canonical points at
 once; exact Gaussian elimination is kept as the per-point oracle and
 cross-checked on every scan.
 
-Every entry of the matrix is a signed quadratic monomial, so the kernel
-uses closed forms: each entry value x_a x_b mod q is computed once with its
-sign kept symbolic, each principal 4x4 Pfaffian is
-a_ij a_kl - a_ik a_jl + a_il a_jk, and the 6x6 Pfaffian (d = 11) is the
-row-0 expansion over the five 4x4 Pfaffians of {1..5}.  Each Pfaffian is
-reduced mod q once, after its signed sum.  The widest unreduced sum is that
-expansion, five products below (q-1)^2 each, so the kernel runs in int32
-while 5 (q-1)^2 < 2^31 (q <= 20725) and in int64 otherwise; primes with
-5 (q-1)^2 >= 2^63 are rejected.
+For d = 11 the rank-4 locus is cut out by one polynomial, the sextic
+Pfaffian, so the kernel decides the top rank from a single leading
+Pfaffian per point: the full Pfaffian for d = 11, the principal 4x4
+Pfaffian on {0, 1, 2, 3} for d = 9.  It is taken from the symbolic matrix
+once per d and split into coefficient polynomials of the powers of the
+last coordinate.  Adjacent points that agree in every coordinate but the
+last form a run (runs are up to q long in scan order); the coefficients are
+evaluated once per run, and Horner's rule in the last coordinate finishes
+each point in int64.  Only where the leading Pfaffian vanishes (about 1/q
+of the points) are the principal 4x4 Pfaffians computed, in the closed
+form a_ij a_kl - a_ik a_jl + a_il a_jk over the entry values x_a x_b mod q,
+and then the entries themselves for rank 0.
 
 The common-zero sieve (common_zeros) finds the points where a system of
 polynomials vanishes without visiting every point.  It assigns one
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -70,15 +74,13 @@ def projective_point_count(ncoords: int, q: int) -> int:
     return (q ** ncoords - 1) // (q - 1)
 
 
-def _kernel_dtype(q: int):
-    """int32 when the widest unreduced sum, 5 (q-1)^2, fits; else int64."""
-    return np.int32 if 5 * (q - 1) ** 2 < 2 ** 31 else np.int64
-
-
 def check_scan_prime(d: int, q: int) -> None:
     """Reject a (d, q) that the census cannot scan exactly."""
     if d not in (9, 11):
         raise ValueError("d must be 9 or 11")
+    # The kernel needs q < 2^31, for evaluate_poly_batch, and a Horner step
+    # acc * t + c below q^2 < 2^62 in int64; the accepted range,
+    # 5 (q-1)^2 < 2^63 (q below about 1.36e9), lies inside both.
     if 5 * (q - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"q = {q} is too large: 5 (q-1)^2 must fit in int64")
     if not is_prime(q):
@@ -186,81 +188,87 @@ def _sieve(partial: np.ndarray, due: list[list[SparsePoly]], q: int, block_size:
         yield from _sieve(extended, due, q, block_size)
 
 
-def _entry_monomials(matrix: SkewMatrix) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """Upper entry (i, j) of the matrix as (sign, a, b): sign * x_a * x_b."""
-    out = {}
-    for (i, j), f in matrix.upper.items():
-        (exps, coeff), = f.terms.items()
-        factors = [v for v, e in enumerate(exps) for _ in range(e)]
-        if coeff not in (1, -1) or len(factors) != 2:
-            raise ValueError("entry is not a signed quadratic monomial")
-        out[(i, j)] = (int(coeff), *factors)
-    return out
+@lru_cache(maxsize=None)
+def _leading_pfaffian(d: int) -> tuple[SparsePoly, ...]:
+    """The leading Pfaffian of s_matrix(d) as c_0 + c_1 t + ... + c_k t^k.
 
-
-def _signed_sum(terms, q: int) -> tuple[int, np.ndarray]:
-    """sum(sign * x * y) mod q, up to an overall sign, with a single reduction.
-
-    Returns (sign, r) with the sum congruent to sign * r; r lies in [0, q).
-    Each product is below (q-1)^2, so the caller bounds the unreduced sum by
-    len(terms) * (q-1)^2 when it picks the dtype of x and y.
+    t is the last coordinate and no c_j involves it.  The leading Pfaffian
+    is the full Pfaffian for even size (d = 11) and the principal 4x4
+    Pfaffian on {0, 1, 2, 3} for odd size (d = 9).
     """
-    (lead, x, y), *rest = terms
-    acc = x * y
-    tmp = np.empty_like(acc)
-    for sign, x, y in rest:
-        np.multiply(x, y, out=tmp)
-        (np.add if sign == lead else np.subtract)(acc, tmp, out=acc)
+    matrix = s_matrix(d)
+    pf = matrix.pf_on(tuple(range(4 if matrix.size % 2 else matrix.size)))
+    last = pf.nvars - 1
+    coeffs = [{} for _ in range(1 + max(exps[last] for exps in pf.terms))]
+    for exps, c in pf.terms.items():
+        coeffs[exps[last]][exps[:last] + (0,)] = c
+    return tuple(SparsePoly(pf.nvars, terms) for terms in coeffs)
+
+
+def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
+    """sum_j c_j t^j mod q, given c_k, ..., c_0; every value lies in [0, q).
+
+    The accumulator is reduced only when the next step could leave int64:
+    with acc <= bound, acc * t + c <= bound (q-1) + q-1, and right after a
+    reduction that is below q^2.
+    """
+    coeffs = iter(coeffs_from_top)
+    acc = np.array(next(coeffs), dtype=np.int64)
+    bound = q - 1
+    for c in coeffs:
+        if bound * (q - 1) + q - 1 >= 2 ** 63:
+            np.remainder(acc, q, out=acc)
+            bound = q - 1
+        acc *= t
+        acc += c
+        bound = bound * (q - 1) + q - 1
     np.remainder(acc, q, out=acc)
-    return lead, acc
+    return acc
+
+
+def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
+    """The leading Pfaffian mod q at every row, by Horner in the last coordinate.
+
+    Adjacent rows that agree in every coordinate but the last form a run,
+    and each coefficient polynomial is evaluated once per run.
+    """
+    starts = np.empty(pts.shape[0], dtype=bool)
+    starts[0] = True
+    np.any(pts[1:, :-1] != pts[:-1, :-1], axis=1, out=starts[1:])
+    first = np.flatnonzero(starts)
+    lengths = np.diff(first, append=pts.shape[0])
+    prefixes = pts[first]
+    return _horner((np.repeat(evaluate_poly_batch(c, prefixes, q), lengths)
+                    for c in reversed(_leading_pfaffian(d))), pts[:, -1], q)
 
 
 def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
-    """Rank of s_matrix(d) at every row of pts, by Pfaffian vanishing.
+    """Rank of s_matrix(d) at every row of pts (coordinates in [0, q)).
 
-    Entries are signed quadratic monomials; their values x_a * x_b % q are
-    computed once and their signs stay symbolic.  Principal 4x4 Pfaffians
-    use the closed form a_ij a_kl - a_ik a_jl + a_il a_jk; the 6x6 Pfaffian
-    (d = 11) is the row-0 expansion over the 4x4 Pfaffians of {1..5}.
+    The leading Pfaffian decides the top rank at almost every point.  Only
+    where it vanishes are the entries evaluated and the principal 4x4
+    Pfaffians computed in closed form, a_ij a_kl - a_ik a_jl + a_il a_jk.
     """
     matrix = s_matrix(d)
-    n = matrix.size
-    dtype = _kernel_dtype(q)
-    cols = [pts[:, v].astype(dtype) for v in range(pts.shape[1])]
-    sign, val = {}, {}
-    for (i, j), (s, a, b) in _entry_monomials(matrix).items():
-        val[i, j] = cols[a] * cols[b]
-        np.remainder(val[i, j], q, out=val[i, j])
-        sign[i, j] = s
-
-    def pf4(quad, rows=slice(None)):
-        i, j, k, l = quad
-        terms = [(1, (i, j), (k, l)), (-1, (i, k), (j, l)), (1, (i, l), (j, k))]
-        return _signed_sum([(s * sign[e] * sign[f], val[e][rows], val[f][rows])
-                            for s, e, f in terms], q)
-
-    quads = list(combinations(range(n), 4))
-    # the 6x6 expansion needs the 4x4 Pfaffians of {1..5} at every point
-    minors = {quad: pf4(quad) for quad in quads if n == 6 and 0 not in quad}
-    # rank <= 2 iff every principal 4x4 Pfaffian vanishes; each one the
-    # expansion does not need is evaluated only where all before it vanish
-    low = np.arange(pts.shape[0])
-    if minors:
-        low = np.flatnonzero(np.logical_and.reduce([pf == 0 for _, pf in minors.values()]))
-    for quad in quads:
-        if quad not in minors:
-            low = low[pf4(quad, low)[1] == 0]
-    ranks = np.full(pts.shape[0], 4, dtype=np.int8)
-    if n == 6:
-        expansion = []
-        for j in range(1, 6):
-            minor_sign, minor = minors[tuple(k for k in range(1, 6) if k != j)]
-            expansion.append(((-1) ** (j - 1) * sign[0, j] * minor_sign, val[0, j], minor))
-        ranks[_signed_sum(expansion, q)[1] != 0] = 6
-    ranks[low] = 2
+    # a nonzero leading Pfaffian gives the largest even rank of the matrix
+    ranks = np.full(pts.shape[0], matrix.size - matrix.size % 2, dtype=np.int8)
+    if not pts.shape[0]:
+        return ranks
+    low = np.flatnonzero(_leading_pfaffian_values(d, q, pts) == 0)
+    ranks[low] = 4
+    sub = pts[low]
+    val = {e: evaluate_poly_batch(f, sub, q) for e, f in matrix.upper.items()}
+    # rank <= 2 iff every principal 4x4 Pfaffian vanishes; each one is
+    # evaluated only where all before it vanish
+    alive = np.arange(low.size)
+    for i, j, k, l in combinations(range(matrix.size), 4):
+        a = {e: val[e][alive] for e in ((i, j), (k, l), (i, k), (j, l), (i, l), (j, k))}
+        pf = a[i, j] * a[k, l] - a[i, k] * a[j, l] + a[i, l] * a[j, k]
+        alive = alive[pf % q == 0]
+    ranks[low[alive]] = 2
     # rank 0 needs every entry to vanish too
-    zero = np.logical_and.reduce([arr[low] == 0 for arr in val.values()])
-    ranks[low[zero]] = 0
+    zero = np.logical_and.reduce([v[alive] == 0 for v in val.values()])
+    ranks[low[alive[zero]]] = 0
     return ranks
 
 

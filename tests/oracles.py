@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from heisencheck.exactnum import cyclotomic_polynomial, euler_phi
 from heisencheck.ffscan import evaluate_poly_batch, point_blocks, projective_point_count
+from heisencheck.heisenberg import s_matrix
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
 
@@ -101,6 +103,51 @@ def scan_common_zeros(polys: list[SparsePoly], ncoords: int, q: int) -> np.ndarr
     for f in polys:
         mask &= evaluate_poly_batch(f, pts, q) == 0
     return pts[mask]
+
+
+# -- the slow path behind ffscan._batch_ranks: every Pfaffian at every point ---
+
+
+def closed_form_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
+    """Rank of s_matrix(d) at every row of pts from closed-form Pfaffians.
+
+    Every entry value x_a * x_b % q is computed at every point with its sign
+    kept symbolic, every principal 4x4 Pfaffian is
+    a_ij a_kl - a_ik a_jl + a_il a_jk, and the 6x6 Pfaffian (d = 11) is the
+    row-0 expansion over the 4x4 Pfaffians of {1..5}, all in int64.
+    """
+    matrix = s_matrix(d)
+    n = matrix.size
+    sign, val = {}, {}
+    for (i, j), f in matrix.upper.items():
+        (exps, coeff), = f.terms.items()
+        a, b = [v for v, e in enumerate(exps) for _ in range(e)]
+        val[i, j] = pts[:, a].astype(np.int64) * pts[:, b] % q
+        sign[i, j] = int(coeff)
+
+    def signed_sum(terms):
+        (lead, x, y), *rest = terms
+        acc = x * y
+        for s, x, y in rest:
+            acc = acc + x * y if s == lead else acc - x * y
+        return lead, acc % q
+
+    def pf4(i, j, k, l):
+        terms = [(1, (i, j), (k, l)), (-1, (i, k), (j, l)), (1, (i, l), (j, k))]
+        return signed_sum([(s * sign[e] * sign[f], val[e], val[f]) for s, e, f in terms])
+
+    minors = {quad: pf4(*quad) for quad in combinations(range(n), 4)}
+    ranks = np.full(pts.shape[0], 4, dtype=np.int8)
+    if n == 6:
+        expansion = []
+        for j in range(1, 6):
+            minor_sign, minor = minors[tuple(k for k in range(1, 6) if k != j)]
+            expansion.append(((-1) ** (j - 1) * sign[0, j] * minor_sign, val[0, j], minor))
+        ranks[signed_sum(expansion)[1] != 0] = 6
+    low = np.logical_and.reduce([pf == 0 for _, pf in minors.values()])
+    ranks[low] = 2
+    ranks[low & np.logical_and.reduce([v == 0 for v in val.values()])] = 0
+    return ranks
 
 
 # -- the slow path behind mpoly.graded_monomials --------------------------------

@@ -201,7 +201,12 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
                  "rank_primes = 4,6",
                  "rank_primes = 1073741789,1073741789",
                  "rank_primes = 1073741789,2147483659",
-                 "jacobian_primes = 2147483659"):
+                 "jacobian_primes = 2147483659",
+                 # one fiber compared with itself used to PASS d9.hilbert.flatness
+                 "lambda_mu_samples = 1:1;1:1",
+                 "lambda_mu_samples = 1:1;2:2",
+                 "lambda_mu_samples = 0:1;0:0",
+                 "lambda_mu_samples = 1:0"):
         config.write_text(line + "\n")
         assert main(["verify", "--config", str(config)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
@@ -224,6 +229,22 @@ def test_output_into_a_missing_directory_is_usage_error(tmp_path, capsys, monkey
     assert main(["verify", "--suite", "d9", "--config", str(config)]) == 2
     assert "does not exist" in capsys.readouterr().err
     assert not missing.parent.exists()
+
+
+def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _must_not_run)
+    monkeypatch.setattr(cli, "scan_strata", _must_not_run)
+    folder = tmp_path / "out"
+    folder.mkdir()
+    assert main(["scan", "--d", "9", "--prime", "19", "--csv", str(folder)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert main(["verify", "--suite", "d9", "--report", str(folder)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"report = {folder}\n")
+    assert main(["verify", "--suite", "d9", "--config", str(config)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert list(folder.iterdir()) == []
 
 
 def test_negative_max_deg_is_usage_error(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from heisencheck.ffscan import (
     _batch_ranks,
-    _kernel_dtype,
-    _signed_sum,
+    _horner,
     DEFAULT_BLOCK,
     check_scan_prime,
     census_csv,
@@ -24,7 +24,7 @@ from heisencheck.ffscan import (
 from heisencheck.grassfano import jacobian_quadrics, klein_cubic
 from heisencheck.heisenberg import s_matrix
 from heisencheck.mpoly import SparsePoly
-from oracles import canonical_points, scan_common_zeros
+from oracles import canonical_points, closed_form_ranks, scan_common_zeros
 
 
 def test_canonical_points_cover_projective_space():
@@ -188,19 +188,35 @@ def test_batch_ranks_agree_with_elimination():
         pts = np.vstack([pts, np.zeros_like(pts[:1])])
         ranks = _batch_ranks(d, q, pts)
         assert (ranks == _oracle_ranks(d, q, pts)).all()
+        assert (ranks == closed_form_ranks(d, q, pts)).all()
         assert set(np.unique(ranks)) == {0, 2, 4} | ({6} if d == 11 else set())
         for k in [*range(0, pts.shape[0], 997), pts.shape[0] - 1]:
             assert ranks[k] == rank_at_point(d, q, [int(c) for c in pts[k]])
 
 
-@pytest.mark.parametrize("q,dtype", [(20725, np.int32), (20726, np.int64)])
-def test_kernel_dtype_switch(q, dtype):
-    assert _kernel_dtype(q) is dtype
-    # the widest sum the kernel forms: five products of (q-1)^2, signed
-    big = np.full(3, q - 1, dtype=_kernel_dtype(q))
-    for signs, total in (([1] * 5, 5), ([1, -1, -1, -1, -1], -3)):
-        lead, r = _signed_sum([(s, big, big) for s in signs], q)
-        assert (r == lead * total * (q - 1) ** 2 % q).all()
+# the largest q the census accepts: 5 (q-1)^2 < 2^63
+LARGEST_SCAN_Q = 1 + isqrt((2 ** 63 - 1) // 5)
+
+
+# at 60013 and 2360003, q^4 and q^3 land between 2^63 and 2^64, where an
+# unreduced step would wrap around without changing sign
+@pytest.mark.parametrize("q", [67, 60013, 2360003, 1358186941, 1358187913, LARGEST_SCAN_Q])
+def test_horner_steps_stay_inside_int64(q):
+    # acc = t = c = q - 1 is the widest a step can be; from a reduced
+    # accumulator it is (q-1)^2 + (q-1) < q^2 < 2^62
+    assert (q - 1) ** 2 + (q - 1) < q ** 2 < 2 ** 62
+    wide = np.full(3, q - 1, dtype=np.int64)
+    for degree in range(7):
+        coeffs = [wide] * (degree + 1)
+        expected = sum((q - 1) ** (j + 1) for j in range(degree + 1)) % q
+        assert (_horner(coeffs, wide, q) == expected).all()
+    assert (wide == q - 1).all()
+
+
+def test_batch_ranks_of_no_points():
+    for d, ncoords in ((9, 4), (11, 5)):
+        ranks = _batch_ranks(d, 67 if d == 11 else 109, np.empty((0, ncoords), dtype=np.int64))
+        assert ranks.shape == (0,)
 
 
 def _canonical_point(q: int, ncoords: int):
@@ -228,6 +244,78 @@ def test_kernel_matches_elimination_on_random_points(d, q):
         ranks = _batch_ranks(d, q, pts)
         assert [int(r) for r in ranks] == [rank_at_point(d, q, list(p)) for p in points]
         assert (ranks == _oracle_ranks(d, q, pts)).all()
+        assert (ranks == closed_form_ranks(d, q, pts)).all()
+
+    run()
+
+
+def _runs(q: int, ncoords: int, max_length: int):
+    """Rows in runs: a prefix repeated over consecutive last coordinates.
+
+    Prefixes come from a small pool, so equal prefixes also turn up in runs
+    that are not adjacent; last coordinates wrap through q-1 -> 0.
+    """
+    coord = st.one_of(st.just(0), st.just(1), st.just(q - 1), st.integers(0, q - 1))
+    pool = st.lists(st.tuples(*[coord] * (ncoords - 1)), min_size=1, max_size=3)
+    return pool.flatmap(lambda prefixes: st.lists(
+        st.tuples(st.sampled_from(prefixes), st.integers(0, q - 1),
+                  st.integers(1, max_length)),
+        min_size=1, max_size=6))
+
+
+def _rows(q: int, runs) -> np.ndarray:
+    return np.array([prefix + ((start + k) % q,)
+                     for prefix, start, length in runs for k in range(length)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
+def test_kernel_matches_the_oracles_on_runs(d, q):
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_runs(q, (d - 1) // 2, q))
+    def run(runs):
+        pts = _rows(q, runs)
+        ranks = _batch_ranks(d, q, pts)
+        assert (ranks == closed_form_ranks(d, q, pts)).all()
+        assert (ranks == _oracle_ranks(d, q, pts)).all()
+        assert [int(r) for r in ranks] == [rank_at_point(d, q, [int(c) for c in p])
+                                           for p in pts]
+
+    run()
+
+
+@pytest.mark.parametrize("d,q", [(9, 1358187913), (11, 1358186941)])
+def test_kernel_on_runs_that_wrap_at_the_largest_primes(d, q):
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(_runs(q, (d - 1) // 2, 4), st.integers(1, 31))
+    def run(runs, before_wrap):
+        # one run of 32 consecutive values through q-1 -> 0, among short ones
+        prefix = runs[0][0]
+        pts = _rows(q, [(prefix, q - before_wrap, 32)] + runs)
+        assert {q - 1, 0} <= set(pts[:32, -1].tolist())
+        ranks = _batch_ranks(d, q, pts)
+        assert (ranks == closed_form_ranks(d, q, pts)).all()
+        assert (ranks == _oracle_ranks(d, q, pts)).all()
+        assert [int(r) for r in ranks] == [rank_at_point(d, q, [int(c) for c in p])
+                                           for p in pts]
+
+    run()
+
+
+@pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
+def test_kernel_commutes_with_shuffling_the_rows(d, q):
+    pts = canonical_points((d - 1) // 2, q)
+    ranks = _batch_ranks(d, q, pts)
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, pts.shape[0]),
+           st.integers(0, pts.shape[0]))
+    def run(seed, a, b):
+        # shuffle one window, so long runs and broken runs share the block
+        a, b = min(a, b), max(a, b)
+        order = np.arange(pts.shape[0])
+        order[a:b] = np.random.default_rng(seed).permutation(order[a:b])
+        assert (_batch_ranks(d, q, pts[order]) == ranks[order]).all()
 
     run()
 
