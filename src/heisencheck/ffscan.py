@@ -15,13 +15,19 @@ Pfaffian, so the kernel decides the top rank from a single leading
 Pfaffian per point: the full Pfaffian for d = 11, the principal 4x4
 Pfaffian on {0, 1, 2, 3} for d = 9.  It is taken from the symbolic matrix
 once per d and split into coefficient polynomials of the powers of the
-last coordinate.  Adjacent points that agree in every coordinate but the
-last form a run (runs are up to q long in scan order); the coefficients are
-evaluated once per run, and Horner's rule in the last coordinate finishes
-each point in int64.  Only where the leading Pfaffian vanishes (about 1/q
-of the points) are the principal 4x4 Pfaffians computed, in the closed
-form a_ij a_kl - a_ik a_jl + a_il a_jk over the entry values x_a x_b mod q,
-and then the entries themselves for rank 0.
+last coordinate.  A run is the rows that agree in every coordinate but the
+last: q rows in scan order, or the single point (0, ..., 0, 1).  The
+enumerator yields cache-sized blocks (SCAN_BLOCK rows) of whole runs and
+fills each column by broadcasting, never by dividing the point index: the
+last coordinate is a tiled 0, ..., q-1 and a coordinate that changes every
+s rows is a (rows/s, s) view assigned its digits.  The kernel reads such a
+block as a (runs, q) array, evaluates the coefficients once per run and
+finishes every point by Horner's rule in int64; rows whose prefix differs
+from the first row of their run are evaluated one by one, so any rows in
+any order get exact values.  Only where the leading Pfaffian vanishes
+(about 1/q of the points) are the principal 4x4 Pfaffians computed, in the
+closed form a_ij a_kl - a_ik a_jl + a_il a_jk over the entry values
+x_a x_b mod q, and then the entries themselves for rank 0.
 
 The common-zero sieve (common_zeros) finds the points where a system of
 polynomials vanishes without visiting every point.  It assigns one
@@ -78,11 +84,11 @@ def check_scan_prime(d: int, q: int) -> None:
     """Reject a (d, q) that the census cannot scan exactly."""
     if d not in (9, 11):
         raise ValueError("d must be 9 or 11")
-    # The kernel needs q < 2^31, for evaluate_poly_batch, and a Horner step
-    # acc * t + c below q^2 < 2^62 in int64; the accepted range,
-    # 5 (q-1)^2 < 2^63 (q below about 1.36e9), lies inside both.
-    if 5 * (q - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"q = {q} is too large: 5 (q-1)^2 must fit in int64")
+    # evaluate_poly_batch forms products below q^2 < 2^62, the closed-form
+    # 4x4 Pfaffians between -(q-1)^2 and 2 (q-1)^2, and _horner reduces before a
+    # step could leave int64, so every prime below 2^31 fits
+    if q >= 2 ** 31:
+        raise ValueError(f"q = {q} is too large: q must be below 2^31")
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if (q - 1) % d != 0:
@@ -90,34 +96,48 @@ def check_scan_prime(d: int, q: int) -> None:
 
 
 DEFAULT_BLOCK = 1 << 20
+# rows per census block; the (runs, q) kernel is fastest when a block's
+# columns stay in cache
+SCAN_BLOCK = 1 << 17
 
 
-def point_blocks(ncoords: int, q: int, block_size: int = DEFAULT_BLOCK):
-    """Canonical points of P^(ncoords-1)(F_q) in scan order, in bounded blocks.
+def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
+    """Canonical points of P^(ncoords-1)(F_q) in scan order, in blocks of whole runs.
 
     Scan order: by position of the leading 1, then lexicographically in
-    the free coordinates.  Block boundaries never change the enumeration,
-    so partitioned runs merge to identical censuses.
+    the free coordinates.  A run (the rows that agree in every coordinate
+    but the last) is never split, so a block holds at most
+    max(q, block_size) rows.  Block boundaries never change the
+    enumeration, so partitioned runs merge to identical censuses.
     """
+    ramp = np.arange(q, dtype=np.int64)
     for lead in range(ncoords):
         free = ncoords - lead - 1
         total = q ** free
-        dtype = np.int32 if total < 2 ** 31 else np.int64
-        steps = np.arange(min(block_size, total), dtype=dtype)
-        rem = np.empty_like(steps)
-        digit = np.empty_like(steps)
-        for start in range(0, total, block_size):
-            size = min(block_size, total - start)
+        run = q if free else 1
+        step = max(1, block_size // run) * run
+        for start in range(0, total, step):
+            size = min(step, total - start)
             # column-major, so each coordinate is one contiguous array
             block = np.empty((ncoords, size), dtype=np.int64).T
             block[:, :lead] = 0
             block[:, lead] = 1
-            r, dig = rem[:size], digit[:size]
-            np.add(steps[:size], start, out=r)
-            for pos in range(ncoords - 1, lead, -1):
-                np.divmod(r, q, out=(r, dig))
-                block[:, pos] = dig
+            if free:
+                block[:, -1].reshape(-1, q)[:] = ramp
+            for pos in range(lead + 1, ncoords - 1):
+                _fill_digit(block[:, pos], start, q ** (ncoords - 1 - pos), q)
             yield block
+
+
+def _fill_digit(column: np.ndarray, start: int, s: int, q: int) -> None:
+    """column[i] = (start + i) // s % q, assigned one segment of s rows at a time."""
+    head = min(column.shape[0], -start % s)
+    column[:head] = start // s % q
+    first = -(-start // s)
+    segments = (column.shape[0] - head) // s
+    end = head + segments * s
+    column[head:end].reshape(segments, s)[:] = ((first + np.arange(segments)) % q)[:, None]
+    column[end:] = (first + segments) % q
 
 
 def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
@@ -208,14 +228,17 @@ def _leading_pfaffian(d: int) -> tuple[SparsePoly, ...]:
 def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
     """sum_j c_j t^j mod q, given c_k, ..., c_0; every value lies in [0, q).
 
-    The accumulator is reduced only when the next step could leave int64:
-    with acc <= bound, acc * t + c <= bound (q-1) + q-1, and right after a
-    reduction that is below q^2.
+    Each c_j broadcasts against t, e.g. one value per run, shape (runs, 1),
+    against the last coordinates, shape (runs, L).  The accumulator is
+    reduced only when the next step could leave int64: with acc <= bound,
+    acc * t + c <= bound (q-1) + q-1, and right after a reduction that is
+    below q^2.
     """
-    coeffs = iter(coeffs_from_top)
-    acc = np.array(next(coeffs), dtype=np.int64)
+    top, *rest = coeffs_from_top
+    acc = np.empty(np.broadcast_shapes(np.shape(top), t.shape), dtype=np.int64)
+    acc[...] = top
     bound = q - 1
-    for c in coeffs:
+    for c in rest:
         if bound * (q - 1) + q - 1 >= 2 ** 63:
             np.remainder(acc, q, out=acc)
             bound = q - 1
@@ -229,17 +252,28 @@ def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
 def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     """The leading Pfaffian mod q at every row, by Horner in the last coordinate.
 
-    Adjacent rows that agree in every coordinate but the last form a run,
-    and each coefficient polynomial is evaluated once per run.
+    When the row count is a multiple of q the rows are read as a (runs, q)
+    array and each coefficient polynomial is evaluated once per run, at its
+    first row.  A run whose rows do not all share that row's prefix is
+    evaluated again row by row, so any rows in any order get exact values.
     """
-    starts = np.empty(pts.shape[0], dtype=bool)
-    starts[0] = True
-    np.any(pts[1:, :-1] != pts[:-1, :-1], axis=1, out=starts[1:])
-    first = np.flatnonzero(starts)
-    lengths = np.diff(first, append=pts.shape[0])
-    prefixes = pts[first]
-    return _horner((np.repeat(evaluate_poly_batch(c, prefixes, q), lengths)
-                    for c in reversed(_leading_pfaffian(d))), pts[:, -1], q)
+    coeffs = _leading_pfaffian(d)[::-1]
+    n = pts.shape[0]
+    length = q if n % q == 0 else 1
+    first = pts[::length]
+    values = _horner([evaluate_poly_batch(c, first, q)[:, None] for c in coeffs],
+                     pts[:, -1].reshape(-1, length), q).reshape(n)
+    if length > 1:
+        whole = np.ones(first.shape[0], dtype=bool)
+        for c in range(pts.shape[1] - 1):
+            column = pts[:, c].reshape(-1, length)
+            whole &= (column == column[:, :1]).all(axis=1)
+        if not whole.all():
+            rows = np.arange(n).reshape(-1, length)[~whole].ravel()
+            single = pts[rows]
+            values[rows] = _horner([evaluate_poly_batch(c, single, q) for c in coeffs],
+                                   single[:, -1], q)
+    return values
 
 
 def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
@@ -288,7 +322,7 @@ def rank_at_point(d: int, q: int, point) -> int:
     return rank_gauss_mod(evaluate_skew_mod(s_matrix(d), point, q), q)
 
 
-def scan_strata(d: int, q: int, block_size: int = DEFAULT_BLOCK) -> StratumCensus:
+def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
     check_scan_prime(d, q)
     ncoords = (d - 1) // 2
     total = projective_point_count(ncoords, q)
@@ -299,14 +333,19 @@ def scan_strata(d: int, q: int, block_size: int = DEFAULT_BLOCK) -> StratumCensu
     # the minimal stratum is tiny (the census contract reports its points);
     # higher strata grow like q^3 and only their counts are kept
     collected: dict[int, list] = {0: [], 2: []}
+    top = possible[-1]
     offset = 0
     for pts in point_blocks(ncoords, q, block_size):
         ranks = _batch_ranks(d, q, pts)
-        by_rank = np.bincount(ranks, minlength=7)
-        for r in possible:
+        # counts and points come from the few rows below the top rank
+        below = np.flatnonzero(ranks < top)
+        low = ranks[below]
+        by_rank = np.bincount(low, minlength=top)
+        counts[top] += pts.shape[0] - below.size
+        for r in possible[:-1]:
             counts[r] += int(by_rank[r])
         for r in collected:
-            for row in pts[ranks == r]:
+            for row in pts[below[low == r]]:
                 collected[r].append(tuple(int(c) for c in row))
         first = (-offset) % step
         for k in range(first, pts.shape[0], step):

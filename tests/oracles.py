@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 
 from heisencheck.exactnum import cyclotomic_polynomial, euler_phi
-from heisencheck.ffscan import evaluate_poly_batch, point_blocks, projective_point_count
+from heisencheck.ffscan import evaluate_poly_batch, projective_point_count
 from heisencheck.heisenberg import s_matrix
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
@@ -86,12 +86,26 @@ def project_rows(killed: set[int], poly_rows, ncols: int):
     return len(survivors), dense
 
 
-# -- the slow path behind ffscan.common_zeros: every point of P^(n-1)(F_q) -----
+# -- the slow paths behind ffscan.point_blocks and ffscan.common_zeros ---------
 
 
 def canonical_points(ncoords: int, q: int) -> np.ndarray:
-    """All canonical points at once, in scan order."""
-    pts = np.concatenate(list(point_blocks(ncoords, q)), axis=0)
+    """All canonical points at once, in scan order, by base-q digits.
+
+    The slow path behind ffscan.point_blocks: point k of a lead position
+    has the base-q digits of k as its free coordinates, split off with one
+    divmod pass per coordinate.
+    """
+    blocks = []
+    for lead in range(ncoords):
+        total = q ** (ncoords - lead - 1)
+        block = np.zeros((total, ncoords), dtype=np.int64)
+        block[:, lead] = 1
+        rem = np.arange(total, dtype=np.int64)
+        for pos in range(ncoords - 1, lead, -1):
+            rem, block[:, pos] = np.divmod(rem, q)
+        blocks.append(block)
+    pts = np.concatenate(blocks)
     assert pts.shape[0] == projective_point_count(ncoords, q)
     return pts
 
@@ -116,6 +130,8 @@ def closed_form_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     a_ij a_kl - a_ik a_jl + a_il a_jk, and the 6x6 Pfaffian (d = 11) is the
     row-0 expansion over the 4x4 Pfaffians of {1..5}, all in int64.
     """
+    # a row-0 term is a product below (q-1)^2, and five of them are summed
+    assert 5 * (q - 1) ** 2 < 2 ** 63, f"q = {q} is too large for the closed form"
     matrix = s_matrix(d)
     n = matrix.size
     sign, val = {}, {}

@@ -39,7 +39,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field,q", [("scan_prime_d9", 28), ("scan_prime_d9", 10),
-                                     ("scan_prime_d11", 45), ("scan_prime_d9", 1358187949)])
+                                     ("scan_prime_d11", 45), ("scan_prime_d9", 2147484007)])
 def test_config_rejects_unscannable_prime(field, q):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: q}).validate()

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heisencheck.ffscan as ffscan
 from heisencheck.ffscan import (
     _batch_ranks,
     _horner,
+    _leading_pfaffian_values,
     DEFAULT_BLOCK,
     check_scan_prime,
     census_csv,
@@ -16,6 +18,7 @@ from heisencheck.ffscan import (
     find_stratum_point,
     jacobian_zero_counts,
     jacobian_zero_scan,
+    point_blocks,
     projective_point_count,
     rank_at_point,
     scan_strata,
@@ -55,8 +58,10 @@ def test_scan_rejects_composite_q(d, q):
         find_stratum_point(d, q, 2)
 
 
-@pytest.mark.parametrize("d,ok,too_large", [(9, 1358187913, 1358187949),
-                                            (11, 1358186941, 1358188063)])
+# 2^31 - 1 is prime and 1 mod 9 and mod 11; too_large is the smallest
+# census prime above 2^31
+@pytest.mark.parametrize("d,ok,too_large", [(9, 2147483647, 2147484007),
+                                            (11, 2147483647, 2147483713)])
 def test_scan_rejects_q_beyond_int64_kernel(d, ok, too_large):
     check_scan_prime(d, ok)
     with pytest.raises(ValueError, match="too large"):
@@ -111,12 +116,23 @@ def test_census_partition_invariance_random_blocks(d, q):
 
 
 def test_point_blocks_match_dense_enumeration():
-    from heisencheck.ffscan import point_blocks
-    import numpy as np
-
     dense = canonical_points(4, 19)
     streamed = np.concatenate(list(point_blocks(4, 19, block_size=311)), axis=0)
     assert (dense == streamed).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_point_blocks_hold_whole_runs(ncoords, q, data):
+    # block sizes below q and sizes that are not multiples of q included
+    block_size = data.draw(st.integers(1, 3 * q * q))
+    blocks = list(point_blocks(ncoords, q, block_size))
+    assert np.array_equal(np.concatenate(blocks), canonical_points(ncoords, q))
+    assert all(0 < len(block) <= max(q, block_size) for block in blocks)
+    # a run is the rows that share every coordinate but the last, and each
+    # prefix occurs in one run only, so no run spans a block boundary
+    for before, after in zip(blocks, blocks[1:]):
+        assert not np.array_equal(before[-1, :-1], after[0, :-1])
 
 
 def test_census_d9_larger_prime():
@@ -194,23 +210,38 @@ def test_batch_ranks_agree_with_elimination():
             assert ranks[k] == rank_at_point(d, q, [int(c) for c in pts[k]])
 
 
-# the largest q the census accepts: 5 (q-1)^2 < 2^63
-LARGEST_SCAN_Q = 1 + isqrt((2 ** 63 - 1) // 5)
+# the largest q the census accepts, 2^31 - 1, and the largest q the
+# closed-form oracle accepts, 5 (q-1)^2 < 2^63
+LARGEST_SCAN_Q = 2 ** 31 - 1
+LARGEST_CLOSED_FORM_Q = 1 + isqrt((2 ** 63 - 1) // 5)
 
 
 # at 60013 and 2360003, q^4 and q^3 land between 2^63 and 2^64, where an
 # unreduced step would wrap around without changing sign
-@pytest.mark.parametrize("q", [67, 60013, 2360003, 1358186941, 1358187913, LARGEST_SCAN_Q])
+@pytest.mark.parametrize("q", [67, 60013, 2360003, 1358186941, 1358187913,
+                               LARGEST_CLOSED_FORM_Q, LARGEST_SCAN_Q])
 def test_horner_steps_stay_inside_int64(q):
     # acc = t = c = q - 1 is the widest a step can be; from a reduced
     # accumulator it is (q-1)^2 + (q-1) < q^2 < 2^62
     assert (q - 1) ** 2 + (q - 1) < q ** 2 < 2 ** 62
-    wide = np.full(3, q - 1, dtype=np.int64)
-    for degree in range(7):
-        coeffs = [wide] * (degree + 1)
-        expected = sum((q - 1) ** (j + 1) for j in range(degree + 1)) % q
-        assert (_horner(coeffs, wide, q) == expected).all()
-    assert (wide == q - 1).all()
+    # one coefficient per point, then one (runs, 1) column per run against
+    # (runs, L) last coordinates
+    for c_shape, t_shape in (((3,), (3,)), ((4, 1), (4, 1)), ((3, 1), (3, 5)), ((2, 1), (2, 67))):
+        wide = np.full(t_shape, q - 1, dtype=np.int64)
+        column = np.full(c_shape, q - 1, dtype=np.int64)
+        for degree in range(7):
+            expected = sum((q - 1) ** (j + 1) for j in range(degree + 1)) % q
+            values = _horner([column] * (degree + 1), wide, q)
+            assert values.shape == t_shape
+            assert (values == expected).all()
+        assert (wide == q - 1).all() and (column == q - 1).all()
+    rng = np.random.default_rng(q)
+    t = rng.integers(0, q, (3, 5))
+    coeffs = [rng.integers(0, q, (3, 1)) for _ in range(5)]
+    values = _horner(coeffs, t, q)
+    for (i, j), x in np.ndenumerate(t):
+        assert values[i, j] == sum(int(c[i, 0]) * int(x) ** (4 - k)
+                                   for k, c in enumerate(coeffs)) % q
 
 
 def test_batch_ranks_of_no_points():
@@ -230,7 +261,7 @@ def _canonical_point(q: int, ncoords: int):
 @pytest.mark.parametrize("d,q", [
     (9, 19), (9, 109), (9, 20719), (9, 20773),
     (11, 23), (11, 67), (11, 20681), (11, 20747),
-    # the largest primes whose 5 (q-1)^2 still fits in int64
+    # the largest census primes the closed-form oracle accepts
     (9, 1358187913), (11, 1358186941),
 ])
 def test_kernel_matches_elimination_on_random_points(d, q):
@@ -284,7 +315,8 @@ def test_kernel_matches_the_oracles_on_runs(d, q):
     run()
 
 
-@pytest.mark.parametrize("d,q", [(9, 1358187913), (11, 1358186941)])
+@pytest.mark.parametrize("d,q", [(9, 1358187913), (11, 1358186941),
+                                 (9, LARGEST_SCAN_Q), (11, LARGEST_SCAN_Q)])
 def test_kernel_on_runs_that_wrap_at_the_largest_primes(d, q):
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(_runs(q, (d - 1) // 2, 4), st.integers(1, 31))
@@ -294,7 +326,8 @@ def test_kernel_on_runs_that_wrap_at_the_largest_primes(d, q):
         pts = _rows(q, [(prefix, q - before_wrap, 32)] + runs)
         assert {q - 1, 0} <= set(pts[:32, -1].tolist())
         ranks = _batch_ranks(d, q, pts)
-        assert (ranks == closed_form_ranks(d, q, pts)).all()
+        if q <= LARGEST_CLOSED_FORM_Q:
+            assert (ranks == closed_form_ranks(d, q, pts)).all()
         assert (ranks == _oracle_ranks(d, q, pts)).all()
         assert [int(r) for r in ranks] == [rank_at_point(d, q, [int(c) for c in p])
                                            for p in pts]
@@ -318,6 +351,88 @@ def test_kernel_commutes_with_shuffling_the_rows(d, q):
         assert (_batch_ranks(d, q, pts[order]) == ranks[order]).all()
 
     run()
+
+
+def _assert_exact_ranks(d, q, pts):
+    ranks = _batch_ranks(d, q, pts)
+    assert (ranks == closed_form_ranks(d, q, pts)).all()
+    # elimination at every low-rank row and at a spread of the others
+    top = s_matrix(d).size // 2 * 2
+    sample = np.union1d(np.flatnonzero(ranks < top), np.arange(0, pts.shape[0], 41))
+    assert [int(ranks[k]) for k in sample] == [
+        rank_at_point(d, q, [int(c) for c in pts[k]]) for k in sample]
+
+
+@pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
+def test_kernel_on_whole_shuffled_and_cut_blocks(d, q):
+    ncoords = (d - 1) // 2
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(1, 3 * q * q), st.data())
+    def run(block_size, data):
+        blocks = list(point_blocks(ncoords, q, block_size))
+        block = blocks[data.draw(st.integers(0, len(blocks) - 1))]
+        _assert_exact_ranks(d, q, block)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        _assert_exact_ranks(d, q, block[np.random.default_rng(seed).permutation(len(block))])
+        # cut inside two runs (every lead position but the last starts at a
+        # multiple of q), keeping or breaking n % q == 0
+        pts = np.concatenate(blocks)
+        begin = q * data.draw(st.integers(0, len(pts) // q - 1)) + data.draw(st.integers(1, q - 1))
+        end = begin + q * data.draw(st.integers(1, 3 * q)) - data.draw(st.integers(0, 1))
+        _assert_exact_ranks(d, q, pts[begin:end])
+
+    run()
+
+
+def _blocks_mixing_one_column(q, pts, ranks, column):
+    """q rows that agree in every prefix column but one: a point, then
+    low-rank points that differ from it in that column only."""
+    ncoords = pts.shape[1]
+    others = [c for c in range(ncoords - 1) if c != column]
+    low = pts[ranks < ranks.max()]
+    keys, counts = np.unique(low[:, others], axis=0, return_counts=True)
+    for key in keys[np.argsort(-counts, kind="stable")]:
+        group = low[(low[:, others] == key).all(axis=1)]
+        for lead in pts[(pts[:, others] == key).all(axis=1)
+                        & (pts[:, column] != group[0, column])]:
+            yield np.vstack([lead, np.resize(group, (q - 1, ncoords))])
+
+
+@pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
+def test_kernel_checks_every_prefix_column(d, q):
+    # a kernel that took such a block for one run would give every row the
+    # coefficients of the first row's prefix
+    pts = canonical_points((d - 1) // 2, q)
+    ranks = closed_form_ranks(d, q, pts)
+
+    def misread(block):
+        merged = block.copy()
+        merged[:, :-1] = block[0, :-1]
+        return closed_form_ranks(d, q, merged)
+
+    for column in range(pts.shape[1] - 1):
+        block = next(b for b in _blocks_mixing_one_column(q, pts, ranks, column)
+                     if (misread(b) != closed_form_ranks(d, q, b)).any())
+        assert len(set(block[:, column].tolist())) > 1
+        _assert_exact_ranks(d, q, block)
+        _assert_exact_ranks(d, q, np.vstack([block] * 3))
+
+
+@pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
+def test_coefficients_are_evaluated_once_per_run(monkeypatch, d, q):
+    sizes = []
+    evaluate = ffscan.evaluate_poly_batch
+
+    def spy(f, X, q):
+        sizes.append(X.shape[0])
+        return evaluate(f, X, q)
+
+    monkeypatch.setattr(ffscan, "evaluate_poly_batch", spy)
+    for block in point_blocks((d - 1) // 2, q, block_size=40 * q + 3):
+        sizes.clear()
+        _leading_pfaffian_values(d, q, block)
+        assert sizes and set(sizes) == {max(1, len(block) // q)}
 
 
 def test_d11_counts_are_consistent():
