@@ -140,7 +140,8 @@ class RunConfig:
         if not self.jacobian_primes:
             raise ValueError("jacobian_primes: need at least one odd prime")
         for q in self.jacobian_primes:
-            # evaluate_poly_batch forms products below q^2, which must fit in int64
+            # evaluate_poly_batch reduces before a multiply or add could reach 2^63,
+            # and q < 2^31 keeps each product of two residues below 2^62
             if q >= 2 ** 31:
                 raise ValueError(f"jacobian_primes: q = {q} is too large: q must be below 2^31")
             # the factor 2 in the Jacobian quadrics vanishes over F_2

@@ -17,17 +17,28 @@ Pfaffian on {0, 1, 2, 3} for d = 9.  It is taken from the symbolic matrix
 once per d and split into coefficient polynomials of the powers of the
 last coordinate.  A run is the rows that agree in every coordinate but the
 last: q rows in scan order, or the single point (0, ..., 0, 1).  The
-enumerator yields cache-sized blocks (SCAN_BLOCK rows) of whole runs and
-fills each column by broadcasting, never by dividing the point index: the
-last coordinate is a tiled 0, ..., q-1 and a coordinate that changes every
-s rows is a (rows/s, s) view assigned its digits.  The kernel reads such a
-block as a (runs, q) array, evaluates the coefficients once per run and
+enumerator yields cache-sized blocks (SCAN_BLOCK rows) of whole runs, or
+pieces of one run when q exceeds the block size, and fills each column by
+broadcasting, never by dividing the point index: the last coordinate is a
+tiled 0, ..., q-1 and a coordinate that changes every s rows is a
+(rows/s, s) view assigned its digits.  The kernel reads a block of whole
+runs as a (runs, q) array, evaluates the coefficients once per run and
 finishes every point by Horner's rule in int64; rows whose prefix differs
 from the first row of their run are evaluated one by one, so any rows in
-any order get exact values.  Only where the leading Pfaffian vanishes
-(about 1/q of the points) are the principal 4x4 Pfaffians computed, in the
-closed form a_ij a_kl - a_ik a_jl + a_il a_jk over the entry values
-x_a x_b mod q, and then the entries themselves for rank 0.
+any order get exact values.
+
+Only where the leading Pfaffian vanishes (about 1/q of the points) is the
+rank told apart from 2.  Every upper entry of the matrix is +/-x_a x_b, so
+all of them come from one gather-multiply, and row 0 is
+(x_0^2, ..., x_(m-1)^2), so some a_0i is nonzero at every point.  If every
+Pfaffian through index 0, Pf_0ijk = a_0i a_jk - a_0j a_ik + a_0k a_ij,
+vanishes, then a_jk = (a_0j a_ik - a_0k a_ij) / a_0i and the matrix is
+(r_0 ^ r_i) / a_0i, of rank 2; so those C(m, 3) Pfaffians decide rank <= 2
+and rank 0 never occurs at a point.
+
+Every reduction mod q is x - (x // q) q, which numpy computes without a
+hardware divide, and it is made only when the next multiply or add could
+reach 2^63: q < 2^31 keeps each product of two residues below 2^62.
 
 The common-zero sieve (common_zeros) finds the points where a system of
 polynomials vanishes without visiting every point.  It assigns one
@@ -84,9 +95,8 @@ def check_scan_prime(d: int, q: int) -> None:
     """Reject a (d, q) that the census cannot scan exactly."""
     if d not in (9, 11):
         raise ValueError("d must be 9 or 11")
-    # evaluate_poly_batch forms products below q^2 < 2^62, the closed-form
-    # 4x4 Pfaffians between -(q-1)^2 and 2 (q-1)^2, and _horner reduces before a
-    # step could leave int64, so every prime below 2^31 fits
+    # the kernel reduces before a multiply or add could reach 2^63, and
+    # q < 2^31 keeps each product of two residues below 2^62
     if q >= 2 ** 31:
         raise ValueError(f"q = {q} is too large: q must be below 2^31")
     if not is_prime(q):
@@ -102,31 +112,40 @@ SCAN_BLOCK = 1 << 17
 
 
 def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
-    """Canonical points of P^(ncoords-1)(F_q) in scan order, in blocks of whole runs.
+    """Canonical points of P^(ncoords-1)(F_q) in scan order, in blocks.
 
     Scan order: by position of the leading 1, then lexicographically in
-    the free coordinates.  A run (the rows that agree in every coordinate
-    but the last) is never split, so a block holds at most
-    max(q, block_size) rows.  Block boundaries never change the
-    enumeration, so partitioned runs merge to identical censuses.
+    the free coordinates.  No block holds more than block_size rows.  A run
+    (the rows that agree in every coordinate but the last) is split only
+    when q > block_size; otherwise every block holds whole runs.  Block
+    boundaries never change the enumeration, so partitioned runs merge to
+    identical censuses.
     """
     ramp = np.arange(q, dtype=np.int64)
     for lead in range(ncoords):
         free = ncoords - lead - 1
         total = q ** free
         run = q if free else 1
-        step = max(1, block_size // run) * run
+        step = block_size // run * run or block_size
         for start in range(0, total, step):
             size = min(step, total - start)
             # column-major, so each coordinate is one contiguous array
             block = np.empty((ncoords, size), dtype=np.int64).T
             block[:, :lead] = 0
             block[:, lead] = 1
-            if free:
+            if free and step % q == 0:
                 block[:, -1].reshape(-1, q)[:] = ramp
+            elif free:
+                # size <= block_size < q, so the last coordinate wraps at most once
+                first = start % q
+                head = min(size, q - first)
+                block[:head, -1] = ramp[first:first + head]
+                block[head:, -1] = ramp[:size - head]
             for pos in range(lead + 1, ncoords - 1):
                 _fill_digit(block[:, pos], start, q ** (ncoords - 1 - pos), q)
             yield block
+            # so the caller holds the only reference while the next is built
+            del block
 
 
 def _fill_digit(column: np.ndarray, start: int, s: int, q: int) -> None:
@@ -140,18 +159,50 @@ def _fill_digit(column: np.ndarray, start: int, s: int, q: int) -> None:
     column[end:] = (first + segments) % q
 
 
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, into [0, q); returns x.
+
+    numpy divides int64 by a scalar without the hardware divide, so
+    x - (x // q) q is about twice as fast as np.remainder.
+    """
+    x -= x // q * q
+    return x
+
+
 def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
-    """Values of f at each row of X, mod q; coefficients must be rational."""
+    """Values of f at each row of X, mod q; coefficients must be rational.
+
+    Entries of X must lie in (-q, q).  As in _horner, bounds on the absolute
+    values of the term and of the running total are tracked, and each is
+    reduced only when the next step could reach 2^63: a term is kept below
+    2^63 - q, so it can always be added to a reduced total, and right after
+    a reduction a product is below q^2 < 2^62.  So at the largest primes
+    every step reduces, and at q = 67 only the total, once.
+    """
     from .exactnum import fraction_mod
 
+    limit = 2 ** 63
     total = np.zeros(X.shape[0], dtype=np.int64)
+    total_bound = 0
     for exps, coeff in f.terms.items():
-        term = np.full(X.shape[0], fraction_mod(coeff, q), dtype=np.int64)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term * X[:, i] % q
-        total = (total + term) % q
-    return total
+        c = fraction_mod(coeff, q)
+        if not c:
+            continue
+        factors = [X[:, i] for i, e in enumerate(exps) for _ in range(e)]
+        term, bound = c, c
+        if factors:
+            term = np.multiply(factors[0], c, dtype=np.int64)
+            bound *= q - 1
+        for x in factors[1:]:
+            if bound * (q - 1) + q - 1 >= limit:
+                term, bound = _reduce(term, q), q - 1
+            term *= x
+            bound *= q - 1
+        if total_bound + bound >= limit:
+            total, total_bound = _reduce(total, q), q - 1
+        total += term
+        total_bound += bound
+    return _reduce(total, q)
 
 
 def common_zeros(polys: list[SparsePoly], ncoords: int, q: int,
@@ -162,7 +213,8 @@ def common_zeros(polys: list[SparsePoly], ncoords: int, q: int,
     one coordinate at a time, and each polynomial is imposed as soon as its
     last variable is assigned; no stage holds more than block_size rows.
     """
-    # evaluate_poly_batch forms products below q^2, which must fit in int64
+    # evaluate_poly_batch reduces before a multiply or add could reach 2^63,
+    # and q < 2^31 keeps each product of two residues below 2^62
     if q >= 2 ** 31:
         raise ValueError(f"q = {q} is too large: q must be below 2^31")
     if not is_prime(q):
@@ -240,13 +292,12 @@ def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
     bound = q - 1
     for c in rest:
         if bound * (q - 1) + q - 1 >= 2 ** 63:
-            np.remainder(acc, q, out=acc)
+            _reduce(acc, q)
             bound = q - 1
         acc *= t
         acc += c
         bound = bound * (q - 1) + q - 1
-    np.remainder(acc, q, out=acc)
-    return acc
+    return _reduce(acc, q)
 
 
 def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
@@ -276,12 +327,42 @@ def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=None)
+def _entry_gather(d: int):
+    """The entries of s_matrix(d) as a gather table, and its Pfaffians through 0.
+
+    Column e of the entry values is sign[e] * x_first[e] * x_second[e],
+    over the upper entries in sorted (i, j) order.  Each Pfaffian
+    Pf_0ijk = a_0i a_jk - a_0j a_ik + a_0k a_ij, 1 <= i < j < k, is the
+    three column pairs (0i, jk), (0j, ik), (0k, ij).
+    """
+    matrix = s_matrix(d)
+    pairs = sorted(matrix.upper)
+    column = {e: c for c, e in enumerate(pairs)}
+    first, second, sign = [], [], []
+    for e in pairs:
+        (exps, coeff), = matrix.upper[e].terms.items()
+        a, b = [v for v, k in enumerate(exps) for _ in range(k)]
+        first.append(a)
+        second.append(b)
+        sign.append(int(coeff))
+    pfaffians = tuple(
+        ((column[0, i], column[j, k]), (column[0, j], column[i, k]), (column[0, k], column[i, j]))
+        for i, j, k in combinations(range(1, matrix.size), 3))
+    table = tuple(np.array(index) for index in (first, second, sign))
+    for index in table:
+        index.flags.writeable = False  # the cache hands it to every caller
+    return (*table, pfaffians)
+
+
 def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     """Rank of s_matrix(d) at every row of pts (coordinates in [0, q)).
 
     The leading Pfaffian decides the top rank at almost every point.  Only
-    where it vanishes are the entries evaluated and the principal 4x4
-    Pfaffians computed in closed form, a_ij a_kl - a_ik a_jl + a_il a_jk.
+    where it vanishes are the entries evaluated, by one gather-multiply,
+    and the Pfaffians through index 0 computed in closed form, each only
+    where all before it vanish; rank <= 2 exactly where they all vanish
+    (see the module docstring).
     """
     matrix = s_matrix(d)
     # a nonzero leading Pfaffian gives the largest even rank of the matrix
@@ -290,19 +371,22 @@ def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
         return ranks
     low = np.flatnonzero(_leading_pfaffian_values(d, q, pts) == 0)
     ranks[low] = 4
+    first, second, sign, pfaffians = _entry_gather(d)
     sub = pts[low]
-    val = {e: evaluate_poly_batch(f, sub, q) for e, f in matrix.upper.items()}
-    # rank <= 2 iff every principal 4x4 Pfaffian vanishes; each one is
-    # evaluated only where all before it vanish
-    alive = np.arange(low.size)
-    for i, j, k, l in combinations(range(matrix.size), 4):
-        a = {e: val[e][alive] for e in ((i, j), (k, l), (i, k), (j, l), (i, l), (j, k))}
-        pf = a[i, j] * a[k, l] - a[i, k] * a[j, l] + a[i, l] * a[j, k]
-        alive = alive[pf % q == 0]
-    ranks[low[alive]] = 2
-    # rank 0 needs every entry to vanish too
-    zero = np.logical_and.reduce([v[alive] == 0 for v in val.values()])
-    ranks[low[alive[zero]]] = 0
+    val = np.multiply(sub[:, first], sub[:, second], dtype=np.int64)
+    val *= sign
+    _reduce(val, q)
+    # each product of residues is below q^2 < 2^62, so pf lies in
+    # [-(q-1)^2, 2 (q-1)^2]
+    for (a, b), (c, e), (f, g) in pfaffians:
+        pf = val[:, a] * val[:, b]
+        pf -= val[:, c] * val[:, e]
+        pf += val[:, f] * val[:, g]
+        vanish = _reduce(pf, q) == 0
+        val, low = val[vanish], low[vanish]
+    ranks[low] = 2
+    # the zero row is no projective point; every entry vanishes there
+    ranks[low[~pts[low].any(axis=1)]] = 0
     return ranks
 
 
@@ -355,6 +439,8 @@ def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
                     f"Pfaffian stratification disagrees with elimination at point {pts[k]}"
                 )
         offset += pts.shape[0]
+        # free the block before point_blocks builds the next one
+        del pts
 
     assert offset == total
     observed = [r for r in possible if counts[r] > 0]

@@ -1,4 +1,5 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, islice
 from math import isqrt
 
 import numpy as np
@@ -8,13 +9,17 @@ from hypothesis import given, settings, strategies as st
 import heisencheck.ffscan as ffscan
 from heisencheck.ffscan import (
     _batch_ranks,
+    _entry_gather,
     _horner,
     _leading_pfaffian_values,
+    _reduce,
     DEFAULT_BLOCK,
+    SCAN_BLOCK,
     check_scan_prime,
     census_csv,
     ci_curve_points_d9,
     common_zeros,
+    evaluate_poly_batch,
     find_stratum_point,
     jacobian_zero_counts,
     jacobian_zero_scan,
@@ -26,8 +31,13 @@ from heisencheck.ffscan import (
 )
 from heisencheck.grassfano import jacobian_quadrics, klein_cubic
 from heisencheck.heisenberg import s_matrix
-from heisencheck.mpoly import SparsePoly
+from heisencheck.mpoly import SparsePoly, graded_monomials
 from oracles import canonical_points, closed_form_ranks, scan_common_zeros
+
+# the largest q the census accepts, 2^31 - 1, and the largest q the
+# closed-form oracle accepts, 5 (q-1)^2 < 2^63
+LARGEST_SCAN_Q = 2 ** 31 - 1
+LARGEST_CLOSED_FORM_Q = 1 + isqrt((2 ** 63 - 1) // 5)
 
 
 def test_canonical_points_cover_projective_space():
@@ -128,11 +138,112 @@ def test_point_blocks_hold_whole_runs(ncoords, q, data):
     block_size = data.draw(st.integers(1, 3 * q * q))
     blocks = list(point_blocks(ncoords, q, block_size))
     assert np.array_equal(np.concatenate(blocks), canonical_points(ncoords, q))
-    assert all(0 < len(block) <= max(q, block_size) for block in blocks)
+    assert all(0 < len(block) <= block_size for block in blocks)
     # a run is the rows that share every coordinate but the last, and each
-    # prefix occurs in one run only, so no run spans a block boundary
-    for before, after in zip(blocks, blocks[1:]):
-        assert not np.array_equal(before[-1, :-1], after[0, :-1])
+    # prefix occurs in one run only, so no run spans a block boundary; runs
+    # longer than a block are split
+    if block_size >= q:
+        for before, after in zip(blocks, blocks[1:]):
+            assert not np.array_equal(before[-1, :-1], after[0, :-1])
+
+
+def test_point_blocks_split_runs_longer_than_a_block():
+    assert next(point_blocks(5, 1000003)).shape[0] <= SCAN_BLOCK
+    # blocks 999..1001 of 1000 rows hold the first wrap of the last coordinate
+    q = 1000003
+    blocks = list(islice(point_blocks(5, q, block_size=1000), 999, 1002))
+    assert [len(block) for block in blocks] == [1000] * 3
+    index = np.arange(999000, 1002000)
+    expected = np.zeros((index.size, 5), dtype=np.int64)
+    expected[:, 0] = 1
+    expected[:, 3], expected[:, 4] = np.divmod(index, q)
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("ncoords,q,block_size", [(3, 23, 7), (4, 19, 5), (5, 23, 7), (2, 5, 1)])
+def test_split_runs_concatenate_to_the_enumeration(ncoords, q, block_size):
+    blocks = list(point_blocks(ncoords, q, block_size))
+    assert all(0 < len(block) <= block_size for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), canonical_points(ncoords, q))
+
+
+# every block, every 97th block, and at q = 20719 the first 21 blocks of
+# 1000 rows, which reach across the wrap of the last coordinate
+@pytest.mark.parametrize("d,q,block_size,stop,step", [
+    (9, 19, 5, None, 1), (11, 23, 7, None, 97), (9, 20719, 1000, 21, 1)])
+def test_kernel_on_split_runs(d, q, block_size, stop, step):
+    for block in islice(point_blocks((d - 1) // 2, q, block_size), 0, stop, step):
+        assert (_batch_ranks(d, q, block) == closed_form_ranks(d, q, block)).all()
+
+
+@pytest.mark.parametrize("d", [9, 11])
+def test_row_0_is_the_squares_and_every_entry_a_signed_monomial(d):
+    # the kernel decides rank <= 2 from the Pfaffians through index 0,
+    # which needs some a_0i != 0 at every point; the gather needs every
+    # upper entry to be +/-x_a x_b
+    matrix = s_matrix(d)
+    m = (d - 1) // 2
+    assert matrix.size == m + 1
+    for i in range(m):
+        assert matrix.upper[0, i + 1] == SparsePoly.variable(m, i, 2)
+    first, second, sign, pfaffians = _entry_gather(d)
+    pairs = sorted(matrix.upper)
+    assert len(pairs) == (m + 1) * m // 2
+    for e, a, b, s in zip(pairs, first, second, sign):
+        f = matrix.upper[e]
+        assert len(f.terms) == 1 and f.degree() == 2
+        assert f == SparsePoly.monomial(m, [int(a), int(b)], int(s))
+        assert int(s) in (1, -1)
+    # C(m, 3) Pfaffians through index 0, each a_0i a_jk - a_0j a_ik + a_0k a_ij
+    triples = list(combinations(range(1, m + 1), 3))
+    assert len(triples) == {9: 4, 11: 10}[d]
+    assert [tuple((pairs[a], pairs[b]) for a, b in pf) for pf in pfaffians] == [
+        (((0, i), (j, k)), ((0, j), (i, k)), ((0, k), (i, j))) for i, j, k in triples]
+
+
+@pytest.mark.parametrize("q", [67, 60013, 1358186941, LARGEST_SCAN_Q])
+def test_reduce_matches_remainder_across_int64(q):
+    # signed entries are reduced too, and floats would round near 2^63
+    rng = np.random.default_rng(q)
+    x = np.concatenate([rng.integers(-2 ** 63, 2 ** 63 - 1, 1000, endpoint=True),
+                        np.arange(-3 * q, 3 * q, q // 7 + 1),
+                        [2 ** 63 - 1, -2 ** 63, 2 ** 63 - 2, q - 1, q, -q, -1, 0]])
+    expected = [int(v) % q for v in x]
+    assert _reduce(x, q) is x
+    assert x.tolist() == expected
+
+
+def _test_polynomials(nvars: int, q: int):
+    """Polynomials of degree 0..6 with rational coefficients; some vanish mod q."""
+    rng = np.random.default_rng(q)
+    polys = []
+    for degree in range(7):
+        terms = {}
+        for _ in range(12):
+            exps = [0] * nvars
+            for v in rng.integers(0, nvars, degree):
+                exps[v] += 1
+            terms[tuple(exps)] = Fraction(int(rng.integers(-q, q)), int(rng.integers(1, 5)))
+        polys.append(SparsePoly(nvars, terms))
+    every = {exps: c for f in polys for exps, c in f.terms.items()}
+    # 30 terms of degree 6 with coefficient q-1, and terms that vanish mod q
+    wide = {exps: Fraction(q - 1) for exps in graded_monomials(nvars, 6)[:30]}
+    wide[(0,) * nvars] = Fraction(q - 1)
+    wide[(1,) + (0,) * (nvars - 1)] = Fraction(q)
+    return polys + [SparsePoly(nvars, every), SparsePoly(nvars, wide), SparsePoly.zero(nvars)]
+
+
+# at 60013 and 2360003, q^4 and q^3 land between 2^63 and 2^64
+@pytest.mark.parametrize("q", [67, 60013, 2360003, 1358186941, LARGEST_SCAN_Q])
+def test_evaluate_poly_batch_stays_inside_int64(q):
+    nvars = 4
+    rng = np.random.default_rng(q)
+    X = np.vstack([np.full((3, nvars), q - 1), rng.integers(0, q, (20, nvars)),
+                   np.zeros((1, nvars), dtype=np.int64)])
+    for f in _test_polynomials(nvars, q):
+        values = evaluate_poly_batch(f, X, q)
+        assert values.dtype == np.int64
+        assert values.tolist() == [f.evaluate_mod([int(x) for x in row], q) for row in X]
 
 
 def test_census_d9_larger_prime():
@@ -208,12 +319,6 @@ def test_batch_ranks_agree_with_elimination():
         assert set(np.unique(ranks)) == {0, 2, 4} | ({6} if d == 11 else set())
         for k in [*range(0, pts.shape[0], 997), pts.shape[0] - 1]:
             assert ranks[k] == rank_at_point(d, q, [int(c) for c in pts[k]])
-
-
-# the largest q the census accepts, 2^31 - 1, and the largest q the
-# closed-form oracle accepts, 5 (q-1)^2 < 2^63
-LARGEST_SCAN_Q = 2 ** 31 - 1
-LARGEST_CLOSED_FORM_Q = 1 + isqrt((2 ** 63 - 1) // 5)
 
 
 # at 60013 and 2360003, q^4 and q^3 land between 2^63 and 2^64, where an
