@@ -76,7 +76,7 @@ from .hilbert import (
 )
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly, render_poly
-from .pfaffian import random_skew
+from .pfaffian import SkewMatrix, random_skew
 from .surface9 import (
     BASE_POINT,
     PFAFFIAN_ROWS_A,
@@ -278,10 +278,8 @@ def check_d11_plucker_decomposable(ctx: RunContext):
         return FAIL, {"error": f"no rank-4 point over F_{q}"}
     point = list(witness.coords)
     pmat = evaluate_skew_mod(theta_plucker_d11(), point, q)
-    residues = [
-        (pmat[i][j] * pmat[k][l] - pmat[i][k] * pmat[j][l] + pmat[i][l] * pmat[j][k]) % q
-        for i, j, k, l in itertools.combinations(range(6), 4)
-    ]
+    values = SkewMatrix(6, {(i, j): pmat[i][j] for i, j in itertools.combinations(range(6), 2)})
+    residues = [values.pf_on(quad) % q for quad in itertools.combinations(range(6), 4)]
     decomposable = all(r == 0 for r in residues)
     # the evaluated Plucker matrix is a rank-2 form whose rows kill S(P)
     rank2 = rank_gauss_mod(pmat, q) == 2

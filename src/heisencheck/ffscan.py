@@ -20,12 +20,13 @@ last: q rows in scan order, or the single point (0, ..., 0, 1).  The
 enumerator yields cache-sized blocks (SCAN_BLOCK rows) of whole runs, or
 pieces of one run when q exceeds the block size, and fills each column by
 broadcasting, never by dividing the point index: the last coordinate is a
-tiled 0, ..., q-1 and a coordinate that changes every s rows is a
-(rows/s, s) view assigned its digits.  The kernel reads a block of whole
-runs as a (runs, q) array, evaluates the coefficients once per run and
-finishes every point by Horner's rule in int64; rows whose prefix differs
-from the first row of their run are evaluated one by one, so any rows in
-any order get exact values.
+tiled 0, ..., q-1 (a run split across blocks is filled like any other
+digit) and a coordinate that changes every s rows is a (rows/s, s) view
+assigned its digits.  The kernel tests once per block, with one compare of
+the prefix columns read as a (runs, q, m-1) view, whether the rows are
+whole runs.  If so it evaluates the coefficients once per run, at its
+first row; if not, at every row.  Either way it finishes every point by
+Horner's rule in int64, so any rows in any order get exact values.
 
 Only where the leading Pfaffian vanishes (about 1/q of the points) is the
 rank told apart from 2.  Every upper entry of the matrix is +/-x_a x_b, so
@@ -58,7 +59,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactnum import cyclo_mod, is_prime, nth_root_in_prime_field
+from .exactnum import cyclo_mod, fraction_mod, is_prime, nth_root_in_prime_field
 from .heisenberg import s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
@@ -136,11 +137,7 @@ def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
             if free and step % q == 0:
                 block[:, -1].reshape(-1, q)[:] = ramp
             elif free:
-                # size <= block_size < q, so the last coordinate wraps at most once
-                first = start % q
-                head = min(size, q - first)
-                block[:head, -1] = ramp[first:first + head]
-                block[head:, -1] = ramp[:size - head]
+                _fill_digit(block[:, -1], start, 1, q)
             for pos in range(lead + 1, ncoords - 1):
                 _fill_digit(block[:, pos], start, q ** (ncoords - 1 - pos), q)
             yield block
@@ -179,8 +176,6 @@ def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
     a reduction a product is below q^2 < 2^62.  So at the largest primes
     every step reduces, and at q = 67 only the total, once.
     """
-    from .exactnum import fraction_mod
-
     limit = 2 ** 63
     total = np.zeros(X.shape[0], dtype=np.int64)
     total_bound = 0
@@ -303,28 +298,22 @@ def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
 def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     """The leading Pfaffian mod q at every row, by Horner in the last coordinate.
 
-    When the row count is a multiple of q the rows are read as a (runs, q)
-    array and each coefficient polynomial is evaluated once per run, at its
-    first row.  A run whose rows do not all share that row's prefix is
-    evaluated again row by row, so any rows in any order get exact values.
+    When the rows are whole runs (n a multiple of q, and each q consecutive
+    rows share their prefix, decided by one compare over the whole block)
+    each coefficient polynomial is evaluated once per run, at its first row.
+    A block that is not whole runs is evaluated row by row, so any rows in
+    any order get exact values.
     """
-    coeffs = _leading_pfaffian(d)[::-1]
-    n = pts.shape[0]
-    length = q if n % q == 0 else 1
+    n, m = pts.shape
+    length = 1
+    if n % q == 0:
+        # a view, since splitting the row axis needs no copy
+        prefix = pts[:, :-1].reshape(n // q, q, m - 1)
+        if (prefix == prefix[:, :1]).all():
+            length = q
     first = pts[::length]
-    values = _horner([evaluate_poly_batch(c, first, q)[:, None] for c in coeffs],
-                     pts[:, -1].reshape(-1, length), q).reshape(n)
-    if length > 1:
-        whole = np.ones(first.shape[0], dtype=bool)
-        for c in range(pts.shape[1] - 1):
-            column = pts[:, c].reshape(-1, length)
-            whole &= (column == column[:, :1]).all(axis=1)
-        if not whole.all():
-            rows = np.arange(n).reshape(-1, length)[~whole].ravel()
-            single = pts[rows]
-            values[rows] = _horner([evaluate_poly_batch(c, single, q) for c in coeffs],
-                                   single[:, -1], q)
-    return values
+    coeffs = [evaluate_poly_batch(c, first, q)[:, None] for c in _leading_pfaffian(d)[::-1]]
+    return _horner(coeffs, pts[:, -1].reshape(-1, length), q).reshape(n)
 
 
 @lru_cache(maxsize=None)
@@ -443,19 +432,12 @@ def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
         del pts
 
     assert offset == total
-    observed = [r for r in possible if counts[r] > 0]
-    min_rank = observed[0] if observed else 0
-    if min_rank in collected:
-        min_points = tuple(collected[min_rank])
-    else:
-        # the minimal stratum is unexpectedly large; collect it in a second pass
-        min_points = tuple(
-            tuple(int(c) for c in row)
-            for pts in point_blocks(ncoords, q, block_size)
-            for row in pts[_batch_ranks(d, q, pts) == min_rank]
-        )
+    # at a coordinate point e_k the only nonzero upper entry is
+    # a_(0,k+1) = x_k^2, so rank 2 occurs over every F_q and the minimal
+    # stratum is always one of the collected ranks
+    min_rank = min(r for r in possible if counts[r])
     return StratumCensus(d=d, q=q, counts=counts, min_rank=min_rank,
-                         min_rank_points=min_points)
+                         min_rank_points=tuple(collected[min_rank]))
 
 
 def find_stratum_point(d: int, q: int, target_rank: int) -> ProjPoint | None:

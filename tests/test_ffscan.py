@@ -180,7 +180,9 @@ def test_kernel_on_split_runs(d, q, block_size, stop, step):
 def test_row_0_is_the_squares_and_every_entry_a_signed_monomial(d):
     # the kernel decides rank <= 2 from the Pfaffians through index 0,
     # which needs some a_0i != 0 at every point; the gather needs every
-    # upper entry to be +/-x_a x_b
+    # upper entry to be +/-x_a x_b.  Only row 0 holds squares, so at a
+    # coordinate point just one upper entry is nonzero: rank 2 occurs over
+    # every F_q, which scan_strata relies on to collect the minimal stratum
     matrix = s_matrix(d)
     m = (d - 1) // 2
     assert matrix.size == m + 1
@@ -194,6 +196,7 @@ def test_row_0_is_the_squares_and_every_entry_a_signed_monomial(d):
         assert len(f.terms) == 1 and f.degree() == 2
         assert f == SparsePoly.monomial(m, [int(a), int(b)], int(s))
         assert int(s) in (1, -1)
+        assert (a == b) == (e[0] == 0)
     # C(m, 3) Pfaffians through index 0, each a_0i a_jk - a_0j a_ik + a_0k a_ij
     triples = list(combinations(range(1, m + 1), 3))
     assert len(triples) == {9: 4, 11: 10}[d]
@@ -534,10 +537,20 @@ def test_coefficients_are_evaluated_once_per_run(monkeypatch, d, q):
         return evaluate(f, X, q)
 
     monkeypatch.setattr(ffscan, "evaluate_poly_batch", spy)
-    for block in point_blocks((d - 1) // 2, q, block_size=40 * q + 3):
+    blocks = list(point_blocks((d - 1) // 2, q, block_size=40 * q + 3))
+    for block in blocks:
         sizes.clear()
         _leading_pfaffian_values(d, q, block)
         assert sizes and set(sizes) == {max(1, len(block) // q)}
+    # a multiple of q rows, one run broken by a row of the run before it:
+    # the block is not whole runs, so every row is evaluated
+    broken = blocks[0].copy()
+    broken[q + 1] = broken[0]
+    assert len(broken) % q == 0 and len(broken) > q
+    sizes.clear()
+    _leading_pfaffian_values(d, q, broken)
+    assert sizes and set(sizes) == {len(broken)}
+    assert (_batch_ranks(d, q, broken) == closed_form_ranks(d, q, broken)).all()
 
 
 def test_d11_counts_are_consistent():
