@@ -7,7 +7,9 @@ off first (their degree-t multiples are standard basis vectors), which keeps
 the elimination small, and each degree's rows are built in one pass at the
 surviving columns.  The Macaulay matrices are very sparse (about 2.4
 nonzeros per row at t = 8 for J(lambda:mu)), so the modular elimination
-touches only the rows with a nonzero in the pivot column.
+first peels singleton columns, which for J(lambda:mu) leaves nothing to
+pivot on, and otherwise touches only the rows with a nonzero in the pivot
+column.
 """
 
 from __future__ import annotations

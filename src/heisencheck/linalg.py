@@ -35,17 +35,65 @@ def rank_fraction(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def _peel_singletons(A: np.ndarray) -> tuple[int, np.ndarray]:
+    """Peel the rows that hold a column's only nonzero: (peeled, remainder).
+
+    If column j has one nonzero, in row i, no combination of the other rows
+    reaches column j, so rank(A) = 1 + rank(A without row i).  Removing the
+    row can leave further singleton columns; peeling repeats until none is
+    left (the first step of structured Gaussian elimination, LaMacchia and
+    Odlyzko, CRYPTO '90).  The remainder keeps the other rows and the
+    columns that still hold a nonzero, so rank(A) = peeled + its rank; if
+    nothing peels, it is A itself.
+
+    Each column keeps its count of live nonzeros and the sum of their row
+    indices, which names the row once the count is 1; removing a row
+    updates only its own columns, so the peel costs O(nnz) after one pass
+    over A.  A matrix with no singleton column pays one column count.
+    """
+    rows, cols = A.shape
+    nz_rows, nz_cols = np.divmod(np.flatnonzero(A != 0), cols)
+    count = np.bincount(nz_cols, minlength=cols)
+    stack = np.flatnonzero(count == 1).tolist()
+    if not stack:
+        return 0, A
+    starts = np.searchsorted(nz_rows, np.arange(rows + 1)).tolist()
+    row_sum = np.bincount(nz_cols, weights=nz_rows, minlength=cols).astype(np.int64).tolist()
+    count = count.tolist()
+    nz_cols = nz_cols.tolist()
+    peeled = []
+    while stack and len(peeled) < rows:  # with every row peeled, the stack is stale
+        j = stack.pop()
+        if count[j] != 1:
+            continue  # its row went with another singleton column
+        i = row_sum[j]
+        peeled.append(i)
+        for c in nz_cols[starts[i]:starts[i + 1]]:
+            count[c] -= 1
+            row_sum[c] -= i
+            if count[c] == 1:
+                stack.append(c)
+    live = np.ones(rows, dtype=bool)
+    live[peeled] = False
+    return len(peeled), A[np.ix_(np.flatnonzero(live), np.flatnonzero(count))]
+
+
 def rank_mod(matrix: np.ndarray, p: int) -> int:
     """Rank over F_p for a prime p with 2 <= p < 2^31.
 
     Entries are reduced into [0, p), so every product of two of them stays
     below p^2 < 2^62 and no intermediate overflows int64; a larger p raises
-    ValueError.  Each pivot updates only the rows below it with a nonzero in
-    the pivot column, which on sparse Macaulay matrices is a small share.
+    ValueError.  Singleton columns of A mod p are peeled first: a column
+    with one nonzero, in row i, makes row i independent of the others, so
+    rank = 1 + the rank without row i, repeated in O(nnz) until no column
+    has one nonzero (an entry that is a multiple of p counts as zero).  On
+    the rows and columns left, each pivot updates only the rows below it
+    with a nonzero in the pivot column, a small share on sparse Macaulay
+    matrices.
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError(f"rank_mod needs 2 <= p < 2^31, got p = {p}")
-    A = np.array(matrix, dtype=np.int64, copy=True) % p
+    peeled, A = _peel_singletons(np.asarray(matrix, dtype=np.int64) % p)
     rows, cols = A.shape
     r = 0
     for c in range(cols):
@@ -65,7 +113,7 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
         if below.size:
             A[below, c:] = (A[below, c:] - A[below, c:c + 1] * A[r, c:]) % p
         r += 1
-    return r
+    return peeled + r
 
 
 def rank_gauss_mod(rows: list[list[int]], q: int) -> int:

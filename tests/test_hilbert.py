@@ -15,6 +15,7 @@ from heisencheck.hilbert import (
     monomial_hilbert,
     stanley_reisner_hilbert,
 )
+from heisencheck.linalg import _peel_singletons, rank_mod
 from heisencheck.mpoly import SparsePoly
 from heisencheck.surface9 import (
     j1_generators,
@@ -23,7 +24,7 @@ from heisencheck.surface9 import (
     theta9_closed_form,
     v_dot_R4,
 )
-from oracles import degree_rows, project_rows
+from oracles import degree_rows, dense_rank_mod, project_rows
 
 TORUS_PROFILE = [1, 9, 36, 81, 144, 225]
 
@@ -151,6 +152,27 @@ def test_cubic_gap_at_generic_image():
     # the monomial degeneration needs all 12 extra cubic generators instead
     monomial_fiber = graded_hilbert(v_dot_R4([0, 1, 0, 0, 0]), 9, 3)
     assert monomial_fiber[3] - 81 == 12
+
+
+@pytest.mark.parametrize("lam, mu", [(1, 1), (3, 7), (Fraction(2, 3), Fraction(-5, 7))])
+def test_j_family_macaulay_matrices_peel_to_nothing(lam, mu):
+    # every row holds the last nonzero of some column, so no pivot is needed
+    for width, rows in _macaulay_rows(j_family(lam, mu).generators(), 9, 8):
+        mat = _rows_to_int_matrix(rows, width)
+        for p in RANK_PRIMES:
+            peeled, rest = _peel_singletons(mat % p)
+            assert (peeled, rest.size) == (len(rows), 0)
+
+
+def test_cubic_gap_matrix_peels_nine_rows():
+    v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
+    width, rows = list(_macaulay_rows(v_dot_R4(v), 9, 3))[3]
+    mat = _rows_to_int_matrix(rows, width)
+    assert mat.shape == (81, 165)
+    for p in RANK_PRIMES:
+        peeled, rest = _peel_singletons(mat % p)
+        assert (peeled, rest.shape) == (9, (72, 153))
+        assert rank_mod(mat, p) == dense_rank_mod(mat, p) == 78
 
 
 def test_graded_hilbert_rejects_inhomogeneous():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisencheck.linalg import rank_mod
+from heisencheck.linalg import _peel_singletons, rank_mod
 from oracles import dense_rank_mod
 
 PRIMES = (2, 3, 5, 1073741789, 2147483647)
@@ -10,30 +10,58 @@ PRIMES = (2, 3, 5, 1073741789, 2147483647)
 
 @st.composite
 def _integer_matrices(draw):
-    """Sparse-to-dense integer matrices, some rows forced into the span of others."""
+    """(matrix, free, p): integer matrices with at most `free` independent rows.
+
+    The base is random (from very sparse to dense) or a bidiagonal chain that
+    peels one row per step; then some rows and columns are zeroed, some
+    entries become nonzero multiples of p, some rows get two singleton
+    columns, and the last rows are forced into the span of the others.
+    """
+    p = draw(st.sampled_from(PRIMES))
     rows = draw(st.integers(1, 40))
-    cols = draw(st.integers(1, 60))
-    density = draw(st.floats(0.05, 1.0))
-    bound = draw(st.sampled_from((1, 9, 2 ** 40)))
     dependent = draw(st.integers(0, rows - 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    mat = rng.integers(-bound, bound, size=(rows, cols), endpoint=True)
-    mat[rng.random((rows, cols)) >= density] = 0
     free = rows - dependent
-    for r in range(free, rows):
-        mat[r] = rng.integers(-3, 3, size=free, endpoint=True) @ mat[:free]
-    return mat, free
+    bound = draw(st.sampled_from((1, 9, 2 ** 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def nonzero(size, top=bound):
+        return rng.integers(1, top, size=size, endpoint=True) * rng.choice((-1, 1), size=size)
+
+    if draw(st.booleans()):
+        density = draw(st.sampled_from((0.01, 0.03)) | st.floats(0.05, 1.0))
+        base = rng.integers(-bound, bound, size=(free, draw(st.integers(1, 60))), endpoint=True)
+        base[rng.random(base.shape) >= density] = 0
+    else:
+        base = np.zeros((free, free + draw(st.integers(0, 1))), dtype=np.int64)
+        chain = np.arange(free)
+        base[chain, chain] = nonzero(free)
+        base[chain[:base.shape[1] - 1], chain[:base.shape[1] - 1] + 1] = nonzero(base.shape[1] - 1)
+        base = base[rng.permutation(free)][:, rng.permutation(base.shape[1])]
+    base[rng.random(free) < draw(st.sampled_from((0.0, 0.1)))] = 0
+    base[:, rng.random(base.shape[1]) < draw(st.sampled_from((0.0, 0.1)))] = 0
+    multiples = rng.random(base.shape) < draw(st.sampled_from((0.0, 0.1, 0.5)))
+    base[multiples] = nonzero(multiples.sum(), 3) * p
+    twins = rng.integers(0, free, size=draw(st.integers(0, 3)))
+    pairs = np.zeros((free, 2 * twins.size), dtype=np.int64)
+    pairs[np.repeat(twins, 2), np.arange(pairs.shape[1])] = nonzero(pairs.shape[1])
+    base = np.hstack((base, pairs))[:, rng.permutation(base.shape[1] + pairs.shape[1])]
+    mat = np.vstack((base, rng.integers(-3, 3, size=(dependent, free), endpoint=True) @ base))
+    return mat, free, p
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_integer_matrices(), st.sampled_from(PRIMES))
-def test_rank_mod_matches_the_dense_kernel(case, p):
-    mat, free = case
+@given(_integer_matrices())
+def test_rank_mod_matches_the_dense_kernel(case):
+    mat, free, p = case
     before = mat.copy()
     rank = rank_mod(mat, p)
     assert rank == dense_rank_mod(mat, p)
     assert rank <= min(free, mat.shape[1])
     assert np.array_equal(mat, before)
+    # the peel runs to its end: no column of the remainder has one nonzero
+    peeled, rest = _peel_singletons(mat % p)
+    assert not (np.count_nonzero(rest, axis=0) == 1).any()
+    assert peeled + dense_rank_mod(rest, p) == rank
 
 
 def test_rank_mod_at_the_largest_prime():
