@@ -132,6 +132,11 @@ class RunConfig:
         if self.format not in ("json", "text"):
             raise ValueError("format must be json or text")
         samples = self.lambda_mu_samples
+        for lam, mu in samples:
+            # the Macaulay matrices hold the coefficients lambda, -mu in int64
+            if max(abs(lam), abs(mu)) >= 2 ** 63:
+                raise ValueError(f"lambda_mu_samples: {lam}:{mu} is too large: "
+                                 "|lambda| and |mu| must be below 2^63")
         if any(lam == 0 and mu == 0 for lam, mu in samples):
             raise ValueError("lambda_mu_samples: (0 : 0) is not a point of P^1")
         # (lam : mu) and (lam' : mu') are one point of P^1 when lam mu' = lam' mu
@@ -276,7 +281,7 @@ def check_d11_plucker_decomposable(ctx: RunContext):
     witness = find_stratum_point(11, q, 4)
     if witness is None:
         return FAIL, {"error": f"no rank-4 point over F_{q}"}
-    point = list(witness.coords)
+    point = list(witness)
     pmat = evaluate_skew_mod(theta_plucker_d11(), point, q)
     values = SkewMatrix(6, {(i, j): pmat[i][j] for i, j in itertools.combinations(range(6), 2)})
     residues = [values.pf_on(quad) % q for quad in itertools.combinations(range(6), 4)]
@@ -291,7 +296,7 @@ def check_d11_plucker_decomposable(ctx: RunContext):
     )
     ok = decomposable and rank2 and kills
     return (PASS if ok else FAIL), {
-        "witness": list(witness.coords),
+        "witness": point,
         "prime": q,
         "decomposable": decomposable,
         "plucker_rank_two": rank2,

@@ -172,6 +172,10 @@ def cmd_hilbert(args) -> int:
     try:
         if args.max_deg < 0:
             raise ValueError(f"--max-deg must be nonnegative, got {args.max_deg}")
+        for flag, value in (("--lambda", args.lam), ("--mu", args.mu)):
+            # the Macaulay matrices hold the coefficients lambda, -mu in int64
+            if abs(value) >= 2 ** 63:
+                raise ValueError(f"{flag} {value} is too large: |{flag[2:]}| must be below 2^63")
         family = j_family(args.lam, args.mu)
     except ValueError as exc:
         print(f"hilbert error: {exc}", file=sys.stderr)

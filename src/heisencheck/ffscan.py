@@ -71,12 +71,6 @@ CROSS_CHECK_SAMPLES = 512
 
 
 @dataclass(frozen=True)
-class ProjPoint:
-    q: int
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class StratumCensus:
     d: int
     q: int
@@ -440,15 +434,15 @@ def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
                          min_rank_points=tuple(collected[min_rank]))
 
 
-def find_stratum_point(d: int, q: int, target_rank: int) -> ProjPoint | None:
-    """First canonical point (scan order) whose matrix has the target rank."""
+def find_stratum_point(d: int, q: int, target_rank: int) -> tuple[int, ...] | None:
+    """Coordinates of the first canonical point (scan order) whose matrix has
+    the target rank over F_q."""
     check_scan_prime(d, q)
     for pts in point_blocks((d - 1) // 2, q):
         ranks = _batch_ranks(d, q, pts)
         hits = np.nonzero(ranks == target_rank)[0]
         if hits.size:
-            row = pts[hits[0]]
-            return ProjPoint(q=q, coords=tuple(int(c) for c in row))
+            return tuple(int(c) for c in pts[hits[0]])
     return None
 
 
@@ -476,23 +470,13 @@ def special_points_d9_mod(q: int) -> set[tuple[int, ...]]:
 # -- smoothness scan -------------------------------------------------------------
 
 
-def jacobian_zero_scan(q: int) -> int:
-    """Common projective zeros of the five quadrics x_i^2 + 2 x_(i+1) x_(i+2)
-    together with the cubic itself.
-
-    Cubic membership follows from the quadrics by the Euler relation when
-    q does not divide 3; it is checked anyway, and imposed as an honest
-    extra condition at q = 3 (where 1 + 2 = 0 makes (1:1:1:1:1) a zero of
-    the quadrics alone).
-    """
-    counts = jacobian_zero_counts(q)
-    if q % 3 != 0 and counts["jacobian"] != counts["system"]:
-        raise AssertionError("Jacobian zero misses the cubic; Euler relation violated")
-    return counts["system"]
-
-
 def jacobian_zero_counts(q: int) -> dict:
-    """Zero counts of the Jacobian quadrics alone and of the full system."""
+    """Common projective zeros of the five quadrics x_i^2 + 2 x_(i+1) x_(i+2),
+    alone ("jacobian") and together with the cubic itself ("system").
+
+    By the Euler relation the two counts agree when q does not divide 3; at
+    q = 3, where 1 + 2 = 0, (1:1:1:1:1) is a zero of the quadrics alone.
+    """
     from .grassfano import jacobian_quadrics, klein_cubic
 
     if q == 2:

@@ -1,10 +1,12 @@
 """Hilbert functions: combinatorial for monomial ideals, degreewise linear
 algebra for general homogeneous ideals, and flatness evidence for families.
 
-Graded ranks are computed over two fixed 30-bit primes; on disagreement the
-computation falls back to exact rationals.  Monomial generators are split
-off first (their degree-t multiples are standard basis vectors), which keeps
-the elimination small, and each degree's rows are built in one pass at the
+Each non-monomial generator is cleared of denominators once, so every
+degree is one exact integer Macaulay matrix.  Its rank is computed over two
+fixed 30-bit primes; on disagreement the computation falls back to exact
+rationals on the same matrix.  Monomial generators are split off first
+(their degree-t multiples are standard basis vectors), which keeps the
+elimination small, and each degree's rows are built in one pass at the
 surviving columns.  The Macaulay matrices are very sparse (about 2.4
 nonzeros per row at t = 8 for J(lambda:mu)), so the modular elimination
 first peels singleton columns, which for J(lambda:mu) leaves nothing to
@@ -15,7 +17,6 @@ column.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
@@ -97,14 +98,16 @@ def stanley_reisner_hilbert(fvec: tuple[int, ...], t: int) -> int:
 # -- graded linear algebra -------------------------------------------------------
 
 
-def _macaulay_rows(generators: list[SparsePoly], nvars: int, t_max: int):
-    """Yield (width, rows) of the degree-t Macaulay matrix for t = 0..t_max.
+def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
+    """Yield the degree-t Macaulay matrix, as an int64 array, for t = 0..t_max.
 
-    Columns killed by monomial generators are collected first; each row of a
-    non-monomial multiple then holds its nonzero coefficients at the
-    surviving columns as sorted (column, coefficient) pairs, and repeated
-    rows are dropped.  Monomials are packed into base-(t_max + 1) integers,
-    so multiplying two of total degree <= t_max is one integer addition.
+    Columns killed by monomial generators are collected first.  Each
+    non-monomial generator is multiplied once by the lcm of its coefficient
+    denominators, which changes no rank, so a row of one of its multiples is
+    its integer coefficients at the surviving columns; repeated rows are
+    dropped, first occurrence kept.  Monomials are packed into
+    base-(t_max + 1) integers, so multiplying two of total degree <= t_max
+    is one integer addition.
     """
     weights = [(t_max + 1) ** i for i in range(nvars)]
 
@@ -121,13 +124,14 @@ def _macaulay_rows(generators: list[SparsePoly], nvars: int, t_max: int):
         if exps is not None:
             monomials.append((dg, pack(exps)))
         else:
-            polys.append((dg, [(pack(e), c) for e, c in g.terms.items() if c]))
+            scale = math.lcm(*(c.denominator for c in g.terms.values()))
+            polys.append((dg, [(pack(e), c.numerator * (scale // c.denominator))
+                               for e, c in g.terms.items() if c]))
     for t in range(t_max + 1):
         killed = {e + m for dg, e in monomials if dg <= t for m in bases[t - dg]}
         surviving = [m for m in bases[t] if m not in killed]
         col = dict(zip(surviving, range(len(surviving))))
-        rows = []
-        seen = set()
+        rows = {}  # a dict keeps the first occurrence of each row, in order
         for dg, terms in polys:
             if dg > t:
                 continue
@@ -137,24 +141,13 @@ def _macaulay_rows(generators: list[SparsePoly], nvars: int, t_max: int):
                     j = col.get(e + m)
                     if j is not None:
                         entries.append((j, c))
-                entries = tuple(sorted(entries))
-                if not entries or entries in seen:
-                    continue
-                seen.add(entries)
-                rows.append(entries)
-        yield len(surviving), rows
-
-
-def _rows_to_int_matrix(rows, width: int) -> np.ndarray:
-    """Dense integer matrix; rows are scaled by denominator lcms (rank-safe)."""
-    mat = np.zeros((len(rows), width), dtype=np.int64)
-    for r, entries in enumerate(rows):
-        lcm = 1
-        for _, v in entries:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        for c, v in entries:
-            mat[r, c] = int(v * lcm)
-    return mat
+                if entries:
+                    rows[tuple(sorted(entries))] = None
+        mat = np.zeros((len(rows), len(surviving)), dtype=np.int64)
+        for r, entries in enumerate(rows):
+            for j, c in entries:
+                mat[r, j] = c
+        yield mat
 
 
 def graded_hilbert(
@@ -169,21 +162,12 @@ def graded_hilbert(
         if not g.is_homogeneous():
             raise ValueError(f"inhomogeneous generator {g}")
     values = []
-    for width, rows in _macaulay_rows(gens, nvars, t_max):
-        if rows:
-            mat = _rows_to_int_matrix(rows, width)
+    for mat in _macaulay_matrices(gens, nvars, t_max):
+        rank = 0
+        if len(mat):
             ranks = {rank_mod(mat, p) for p in primes}
-            if len(ranks) == 1:
-                rank = ranks.pop()
-            else:
-                dense = [[Fraction(0)] * width for _ in rows]
-                for r, entries in enumerate(rows):
-                    for c, v in entries:
-                        dense[r][c] = v
-                rank = rank_fraction(dense)
-        else:
-            rank = 0
-        values.append(width - rank)
+            rank = ranks.pop() if len(ranks) == 1 else rank_fraction(mat.tolist())
+        values.append(mat.shape[1] - rank)
     return values
 
 

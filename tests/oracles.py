@@ -20,7 +20,7 @@ def partial(f: SparsePoly, i: int) -> SparsePoly:
     })
 
 
-# -- the slow paths behind linalg.rank_mod and hilbert._macaulay_rows ----------
+# -- the slow paths behind linalg.rank_mod and hilbert._macaulay_matrices ------
 
 
 def dense_rank_mod(matrix: np.ndarray, p: int) -> int:

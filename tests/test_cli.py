@@ -206,7 +206,10 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
                  "lambda_mu_samples = 1:1;1:1",
                  "lambda_mu_samples = 1:1;2:2",
                  "lambda_mu_samples = 0:1;0:0",
-                 "lambda_mu_samples = 1:0"):
+                 "lambda_mu_samples = 1:0",
+                 # the Macaulay fill used to end in an OverflowError
+                 "lambda_mu_samples = 9223372036854775808:1;1:1",
+                 "lambda_mu_samples = 1:1;1:-9223372036854775808"):
         config.write_text(line + "\n")
         assert main(["verify", "--config", str(config)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
@@ -272,6 +275,16 @@ def test_hilbert_subcommand(capsys):
     assert main(["hilbert", "--lambda", "0", "--mu", "0"]) == 2
     assert main(["hilbert", "--lambda", "1", "--mu", "1", "--max-deg", "0"]) == 0
     assert "t=0: 1" in capsys.readouterr().out
+
+
+def test_hilbert_rejects_lambda_mu_beyond_int64(capsys, monkeypatch):
+    assert main(["hilbert", f"--lambda={2 ** 63 - 1}", "--mu=1", "--max-deg=2"]) == 0
+    assert "t=2: 36" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "graded_hilbert", _must_not_run)
+    for flag, other in (("--lambda", "--mu"), ("--mu", "--lambda")):
+        for value in (2 ** 63, -2 ** 63):
+            assert main(["hilbert", f"{flag}={value}", f"{other}=1"]) == 2
+            assert f"{flag} {value} is too large" in capsys.readouterr().err
 
 
 def test_chars_subcommand(capsys):

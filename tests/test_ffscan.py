@@ -22,7 +22,6 @@ from heisencheck.ffscan import (
     evaluate_poly_batch,
     find_stratum_point,
     jacobian_zero_counts,
-    jacobian_zero_scan,
     point_blocks,
     projective_point_count,
     rank_at_point,
@@ -565,16 +564,18 @@ def test_d11_counts_are_consistent():
 def test_find_stratum_point():
     hit = find_stratum_point(11, 23, 4)
     assert hit is not None
-    assert rank_at_point(11, 23, list(hit.coords)) == 4
+    assert rank_at_point(11, 23, list(hit)) == 4
     assert find_stratum_point(9, 19, 0) is None
     low = find_stratum_point(9, 19, 2)
     assert low is not None
-    assert low.coords in (ci_curve_points_d9(19) | special_points_d9_mod(19))
+    assert low in (ci_curve_points_d9(19) | special_points_d9_mod(19))
 
 
 @pytest.mark.parametrize("q", [3, 7, 13, 23, 31])
 def test_jacobian_zero_scan(q):
-    assert jacobian_zero_scan(q) == 0
+    # the Euler relation puts every zero of the quadrics on the cubic when q
+    # does not divide 3; at q = 3 (1:1:1:1:1) is a zero of the quadrics alone
+    assert jacobian_zero_counts(q) == {"jacobian": int(q == 3), "system": 0}
 
 
 def test_jacobian_counts_detail():
@@ -583,7 +584,7 @@ def test_jacobian_counts_detail():
     counts11 = jacobian_zero_counts(11)
     assert counts11["system"] == counts11["jacobian"] == 1  # the group prime is special
     with pytest.raises(ValueError):
-        jacobian_zero_scan(2)
+        jacobian_zero_counts(2)
 
 
 @pytest.mark.parametrize("q", [101, 1009])

@@ -6,8 +6,7 @@ import pytest
 from heisencheck.hilbert import (
     RANK_PRIMES,
     SimplicialComplex,
-    _macaulay_rows,
-    _rows_to_int_matrix,
+    _macaulay_matrices,
     abelian_surface_profile,
     face_vector,
     flatness_evidence,
@@ -101,6 +100,8 @@ def test_graded_agrees_with_monomial_oracle():
 def test_graded_hilbert_family_member():
     assert graded_hilbert(j_family(1, 1).generators(), 9, 5) == TORUS_PROFILE
     assert graded_hilbert(j_family(3, 7).generators(), 9, 4) == TORUS_PROFILE[:5]
+    # the trinomial coefficients lambda, -mu, lambda are held exactly in int64
+    assert graded_hilbert(j_family(2 ** 63 - 1, 1).generators(), 9, 4) == TORUS_PROFILE[:5]
 
 
 def test_torus_family_reaches_9t2_at_degree_8():
@@ -117,17 +118,18 @@ def test_torus_family_reaches_9t2_at_degree_8():
     pytest.param(v_dot_R4([0, 1, 0, 0, 0]), id="monomial-fiber"),
 ])
 def test_one_pass_rows_match_the_two_pass_oracle(gens):
-    # equal rows feed the rational fallback the same entries, and equal
-    # integer matrices give rank_mod the same input
-    built = list(_macaulay_rows(gens, 9, 7))
+    # each integer row is a nonzero rational multiple of the oracle's row, in
+    # the oracle's order, so both ranks see the oracle's row space
+    built = list(_macaulay_matrices(gens, 9, 7))
     assert len(built) == 8
-    for t, (width, rows) in enumerate(built):
+    for t, mat in enumerate(built):
         ncols, killed, poly_rows = degree_rows(gens, 9, t)
         oracle_width, oracle_rows = project_rows(killed, poly_rows, ncols)
-        assert (width, rows) == (oracle_width, oracle_rows), t
-        if rows:
-            assert np.array_equal(_rows_to_int_matrix(rows, width),
-                                  _rows_to_int_matrix(oracle_rows, oracle_width)), t
+        assert mat.dtype == np.int64
+        assert mat.shape == (len(oracle_rows), oracle_width), t
+        for row, entries in zip(mat.tolist(), oracle_rows):
+            assert [j for j, v in enumerate(row) if v] == [j for j, _ in entries], t
+            assert len({row[j] / v for j, v in entries}) == 1, t
 
 
 def test_flatness_evidence():
@@ -157,17 +159,15 @@ def test_cubic_gap_at_generic_image():
 @pytest.mark.parametrize("lam, mu", [(1, 1), (3, 7), (Fraction(2, 3), Fraction(-5, 7))])
 def test_j_family_macaulay_matrices_peel_to_nothing(lam, mu):
     # every row holds the last nonzero of some column, so no pivot is needed
-    for width, rows in _macaulay_rows(j_family(lam, mu).generators(), 9, 8):
-        mat = _rows_to_int_matrix(rows, width)
+    for mat in _macaulay_matrices(j_family(lam, mu).generators(), 9, 8):
         for p in RANK_PRIMES:
             peeled, rest = _peel_singletons(mat % p)
-            assert (peeled, rest.size) == (len(rows), 0)
+            assert (peeled, rest.size) == (len(mat), 0)
 
 
 def test_cubic_gap_matrix_peels_nine_rows():
     v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-    width, rows = list(_macaulay_rows(v_dot_R4(v), 9, 3))[3]
-    mat = _rows_to_int_matrix(rows, width)
+    mat = list(_macaulay_matrices(v_dot_R4(v), 9, 3))[3]
     assert mat.shape == (81, 165)
     for p in RANK_PRIMES:
         peeled, rest = _peel_singletons(mat % p)

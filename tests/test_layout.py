@@ -15,8 +15,6 @@ PACKAGE = ROOT / "src" / "heisencheck"
 CALLERS = (PACKAGE, ROOT / "perfbench")
 
 ALLOWED = {
-    "ffscan.jacobian_zero_scan":
-        "the acceptance tests use it; the Macaulay-certificate item decides its fate",
     "heisenberg.iota": "the index involution is one of the actions the README describes",
 }
 
