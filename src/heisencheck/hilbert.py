@@ -1,50 +1,86 @@
 """Hilbert functions: combinatorial for monomial ideals, degreewise linear
 algebra for general homogeneous ideals, and flatness evidence for families.
 
-Each non-monomial generator is cleared of denominators once, so every
-degree is one exact integer Macaulay matrix.  Its rank is computed over two
-fixed 30-bit primes; on disagreement the computation falls back to exact
-rationals on the same matrix.  Monomial generators are split off first
-(their degree-t multiples are standard basis vectors), which keeps the
-elimination small, and each degree's rows are built in one pass at the
-surviving columns.  The Macaulay matrices are very sparse (about 2.4
-nonzeros per row at t = 8 for J(lambda:mu)), so the modular elimination
-first peels singleton columns, which for J(lambda:mu) leaves nothing to
-pivot on, and otherwise touches only the rows with a nonzero in the pivot
-column.
+Monomials are packed into int64 in base t_max + 1 (one array per degree,
+in grevlex order), so every product is an addition and every lookup one
+searchsorted.  A monomial ideal's Hilbert function counts the monomials
+its generators' multiples miss.  For a general ideal, monomial generators
+are split off first (their degree-t multiples are standard basis vectors),
+which keeps the elimination small.  Each non-monomial generator is cleared
+of denominators once, so every degree is one exact integer Macaulay
+matrix, built with array operations at the surviving columns.  Its rank is
+computed over two fixed 30-bit primes; on disagreement the computation
+falls back to exact rationals on the same matrix.  The Macaulay matrices
+are very sparse (about 2.4 nonzeros per row at t = 8 for J(lambda:mu)), so
+the modular elimination first peels singleton columns, which for
+J(lambda:mu) leaves nothing to pivot on, and otherwise touches only the
+rows with a nonzero in the pivot column.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import mul
 
 import numpy as np
 
 from .linalg import rank_fraction, rank_mod
-from .mpoly import SparsePoly, graded_monomials, monomial_divides, monomial_exponents
+from .mpoly import SparsePoly, monomial_exponents
 
 # Two 30-bit primes away from 2, 3, 5, 11; recorded in the run config.
 RANK_PRIMES = (1073741789, 1073741783)
 
 
+# -- packed monomials ------------------------------------------------------------
+
+
+def _packed_bases(nvars: int, t_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Weights and bases[k], the degree-k monomials packed in base t_max + 1.
+
+    A monomial x^e packs to sum(e[i] * (t_max + 1)^i), so multiplying two
+    of total degree <= t_max is one integer addition.  Each bases[k] is in
+    descending grevlex order, built by the recursion of
+    mpoly.graded_monomials on packed integers: appending the next
+    variable's exponent e adds e times its weight.  Within one degree that
+    order compares the last exponent first, then the one before it, as
+    the packed integers do, so each bases[k] is also ascending and a
+    searchsorted finds a monomial's index.
+    """
+    if (t_max + 1) ** nvars >= 2 ** 63:
+        raise ValueError(
+            f"monomials in {nvars} variables up to degree {t_max} do not pack into int64")
+    weights = (t_max + 1) ** np.arange(nvars, dtype=np.int64)
+    bases = [np.array([d], dtype=np.int64) for d in range(t_max + 1)]
+    for w in weights[1:]:
+        bases = [np.concatenate([bases[d - e] + e * w for e in range(d + 1)])
+                 for d in range(t_max + 1)]
+    return weights, bases
+
+
+def _killed_columns(bases, t: int, monomials) -> np.ndarray:
+    """Mask of the degree-t monomials divisible by a (degree, packed) monomial."""
+    killed = np.zeros(len(bases[t]), dtype=bool)
+    multiples = [e + bases[t - dg] for dg, e in monomials if dg <= t]
+    if multiples:
+        killed[np.searchsorted(bases[t], np.concatenate(multiples))] = True
+    return killed
+
+
 def monomial_hilbert(generators, nvars: int, t_max: int) -> list[int]:
-    """values[t] = number of degree-t monomials outside the monomial ideal."""
+    """values[t] = number of degree-t monomials outside the monomial ideal.
+
+    Generators are monomial SparsePolys or exponent tuples.
+    """
     divisors = []
     for g in generators:
         exps = g if isinstance(g, tuple) else monomial_exponents(g)
         if exps is None:
             raise ValueError(f"non-monomial generator {g}")
         divisors.append(exps)
-    values = []
-    for t in range(t_max + 1):
-        free = 0
-        for mono in graded_monomials(nvars, t):
-            if not any(monomial_divides(d, mono) for d in divisors):
-                free += 1
-        values.append(free)
-    return values
+    weights, bases = _packed_bases(nvars, t_max)
+    monomials = [(sum(e), int(np.dot(e, weights))) for e in divisors if sum(e) <= t_max]
+    return [len(base) - int(_killed_columns(bases, t, monomials).sum())
+            for t, base in enumerate(bases)]
 
 
 class SimplicialComplex:
@@ -101,20 +137,18 @@ def stanley_reisner_hilbert(fvec: tuple[int, ...], t: int) -> int:
 def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
     """Yield the degree-t Macaulay matrix, as an int64 array, for t = 0..t_max.
 
-    Columns killed by monomial generators are collected first.  Each
-    non-monomial generator is multiplied once by the lcm of its coefficient
-    denominators, which changes no rank, so a row of one of its multiples is
-    its integer coefficients at the surviving columns; repeated rows are
-    dropped, first occurrence kept.  Monomials are packed into
-    base-(t_max + 1) integers, so multiplying two of total degree <= t_max
-    is one integer addition.
+    Columns killed by monomial generators are found first, with one
+    searchsorted of their packed multiples.  Each non-monomial generator is
+    multiplied once by the lcm of its coefficient denominators, which
+    changes no rank, so a row of one of its multiples is its integer
+    coefficients at the surviving columns.  The rows of all multiples are
+    built at once as (column, coefficient) pairs padded to one width:
+    their columns come in one searchsorted, in ascending order (the
+    generator's terms are sorted once), and the surviving pairs move to
+    the front of each row.  Repeated rows are dropped with the first
+    occurrence kept in order, and the rest are scattered into the matrix.
     """
-    weights = [(t_max + 1) ** i for i in range(nvars)]
-
-    def pack(exps):
-        return sum(map(mul, exps, weights))
-
-    bases = [[pack(m) for m in graded_monomials(nvars, k)] for k in range(t_max + 1)]
+    weights, bases = _packed_bases(nvars, t_max)
     monomials, polys = [], []
     for g in generators:
         dg = g.degree()
@@ -122,31 +156,56 @@ def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
             continue
         exps = monomial_exponents(g)
         if exps is not None:
-            monomials.append((dg, pack(exps)))
-        else:
-            scale = math.lcm(*(c.denominator for c in g.terms.values()))
-            polys.append((dg, [(pack(e), c.numerator * (scale // c.denominator))
-                               for e, c in g.terms.items() if c]))
-    for t in range(t_max + 1):
-        killed = {e + m for dg, e in monomials if dg <= t for m in bases[t - dg]}
-        surviving = [m for m in bases[t] if m not in killed]
-        col = dict(zip(surviving, range(len(surviving))))
-        rows = {}  # a dict keeps the first occurrence of each row, in order
-        for dg, terms in polys:
-            if dg > t:
-                continue
-            for m in bases[t - dg]:
-                entries = []
-                for e, c in terms:
-                    j = col.get(e + m)
-                    if j is not None:
-                        entries.append((j, c))
-                if entries:
-                    rows[tuple(sorted(entries))] = None
-        mat = np.zeros((len(rows), len(surviving)), dtype=np.int64)
-        for r, entries in enumerate(rows):
-            for j, c in entries:
-                mat[r, j] = c
+            monomials.append((dg, int(np.dot(exps, weights))))
+            continue
+        scale = math.lcm(*(c.denominator for c in g.terms.values()))
+        coeffs = [c.numerator * (scale // c.denominator) for c in g.terms.values()]
+        if not all(-2 ** 63 <= c < 2 ** 63 for c in coeffs):
+            raise ValueError(f"generator {g}: cleared coefficients do not fit in int64")
+        # grevlex is a monomial order, so terms in ascending packed order
+        # stay in ascending column order in every multiple
+        packed = (np.array(list(g.terms), dtype=np.int64) @ weights).tolist()
+        terms = sorted(zip(packed, coeffs))
+        polys.append((dg, np.array([e for e, _ in terms], dtype=np.int64),
+                      np.array([c for _, c in terms], dtype=np.int64)))
+    for t, base in enumerate(bases):
+        killed = _killed_columns(bases, t, monomials)
+        width = len(base) - int(killed.sum())
+        # surviving columns in order; a killed one maps past the last column
+        column = np.cumsum(~killed) - 1
+        column[killed] = width
+        blocks = [(column[np.searchsorted(base, bases[t - dg][:, None] + packed)], coeffs)
+                  for dg, packed, coeffs in polys if dg <= t]
+        if not blocks:
+            yield np.zeros((0, width), dtype=np.int64)
+            continue
+        span = max(len(c) for _, c in blocks)
+        cols = np.full((sum(len(j) for j, _ in blocks), span), width, dtype=np.int64)
+        vals = np.zeros_like(cols)
+        r = 0
+        for j, c in blocks:
+            cols[r:r + len(j), :len(c)] = j
+            vals[r:r + len(j), :len(c)] = c
+            r += len(j)
+        alive = cols < width
+        # each row's surviving entries move to its front, still in order
+        slot = np.where(alive, np.cumsum(alive, axis=1) - 1, span - np.cumsum(~alive, axis=1))
+        front_cols, front_vals = np.empty_like(cols), np.empty_like(vals)
+        np.put_along_axis(front_cols, slot, cols, axis=1)
+        np.put_along_axis(front_vals, slot, np.where(alive, vals, 0), axis=1)
+        cols, vals = front_cols, front_vals
+        nonzero = cols[:, 0] < width
+        cols, vals = cols[nonzero], vals[nonzero]
+        _, first = np.unique(np.hstack([cols, vals]), axis=0, return_index=True)
+        kept = np.zeros(len(cols), dtype=bool)
+        kept[first] = True  # first occurrences, in their order
+        cols, vals = cols[kept], vals[kept]
+        # padding repeats each row's first entry, so the scatter writes it twice
+        pad = cols == width
+        cols = np.where(pad, cols[:, :1], cols)
+        vals = np.where(pad, vals[:, :1], vals)
+        mat = np.zeros((len(cols), width), dtype=np.int64)
+        np.put_along_axis(mat, cols, vals, axis=1)
         yield mat
 
 

@@ -1,8 +1,10 @@
 """Reference implementations that the tests check the package against."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -84,6 +86,64 @@ def project_rows(killed: set[int], poly_rows, ncols: int):
         seen.add(entries)
         dense.append(entries)
     return len(survivors), dense
+
+
+def row_loop_macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
+    """hilbert._macaulay_matrices one row at a time, from exponent tuples.
+
+    Monomials are packed one tuple at a time, a row is a sorted tuple of
+    (column, int) pairs, and a dict drops repeated rows, first one kept.
+    """
+    weights = [(t_max + 1) ** i for i in range(nvars)]
+
+    def pack(exps):
+        return sum(map(mul, exps, weights))
+
+    bases = [[pack(m) for m in graded_monomials(nvars, k)] for k in range(t_max + 1)]
+    monomials, polys = [], []
+    for g in generators:
+        dg = g.degree()
+        if dg > t_max or g.is_zero():
+            continue
+        exps = monomial_exponents(g)
+        if exps is not None:
+            monomials.append((dg, pack(exps)))
+        else:
+            scale = math.lcm(*(c.denominator for c in g.terms.values()))
+            polys.append((dg, [(pack(e), c.numerator * (scale // c.denominator))
+                               for e, c in g.terms.items() if c]))
+    for t in range(t_max + 1):
+        killed = {e + m for dg, e in monomials if dg <= t for m in bases[t - dg]}
+        surviving = [m for m in bases[t] if m not in killed]
+        col = dict(zip(surviving, range(len(surviving))))
+        rows = {}
+        for dg, terms in polys:
+            if dg > t:
+                continue
+            for m in bases[t - dg]:
+                entries = []
+                for e, c in terms:
+                    j = col.get(e + m)
+                    if j is not None:
+                        entries.append((j, c))
+                if entries:
+                    rows[tuple(sorted(entries))] = None
+        mat = np.zeros((len(rows), len(surviving)), dtype=np.int64)
+        for r, entries in enumerate(rows):
+            for j, c in entries:
+                mat[r, j] = c
+        yield mat
+
+
+# -- the slow path behind hilbert.monomial_hilbert ------------------------------
+
+
+def divisor_loop_hilbert(generators, nvars: int, t_max: int) -> list[int]:
+    """Every degree-t monomial tested against every divisor."""
+    divisors = [g if isinstance(g, tuple) else monomial_exponents(g) for g in generators]
+    return [sum(not any(all(a <= b for a, b in zip(d, m)) for d in divisors)
+                for m in graded_monomials(nvars, t))
+            for t in range(t_max + 1)]
 
 
 # -- the slow paths behind ffscan.point_blocks and ffscan.common_zeros ---------

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heisencheck.hilbert import (
     RANK_PRIMES,
     SimplicialComplex,
     _macaulay_matrices,
+    _packed_bases,
     abelian_surface_profile,
     face_vector,
     flatness_evidence,
@@ -15,7 +17,7 @@ from heisencheck.hilbert import (
     stanley_reisner_hilbert,
 )
 from heisencheck.linalg import _peel_singletons, rank_mod
-from heisencheck.mpoly import SparsePoly
+from heisencheck.mpoly import SparsePoly, graded_monomials
 from heisencheck.surface9 import (
     j1_generators,
     j2_monomials,
@@ -23,7 +25,13 @@ from heisencheck.surface9 import (
     theta9_closed_form,
     v_dot_R4,
 )
-from oracles import degree_rows, dense_rank_mod, project_rows
+from oracles import (
+    degree_rows,
+    dense_rank_mod,
+    divisor_loop_hilbert,
+    project_rows,
+    row_loop_macaulay_matrices,
+)
 
 TORUS_PROFILE = [1, 9, 36, 81, 144, 225]
 
@@ -56,6 +64,41 @@ def test_rank_primes_are_30_bit_primes():
 
 def test_monomial_hilbert_torus_ideal():
     assert monomial_hilbert(j1_generators(), 9, 5) == TORUS_PROFILE
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(j1_generators(), id="J1"),
+    pytest.param(j2_monomials(), id="J2"),
+])
+def test_monomial_hilbert_matches_the_divisor_loop(gens):
+    assert monomial_hilbert(gens, 9, 6) == divisor_loop_hilbert(gens, 9, 6)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """(generators, nvars, t_max): exponent tuples and monomial SparsePolys."""
+    nvars = draw(st.integers(3, 6))
+    t_max = draw(st.integers(0, 5))
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        exps = tuple(draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)))
+        coeff = draw(st.integers(1, 5))
+        gens.append(exps if draw(st.booleans()) else SparsePoly(nvars, {exps: coeff}))
+    return gens, nvars, t_max
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_monomial_ideals())
+def test_monomial_hilbert_matches_the_divisor_loop_on_drawn_ideals(case):
+    gens, nvars, t_max = case
+    assert monomial_hilbert(gens, nvars, t_max) == divisor_loop_hilbert(gens, nvars, t_max)
+
+
+def test_monomial_hilbert_rejects_non_monomial_generators():
+    binomial = SparsePoly.monomial(3, [0, 1]) + SparsePoly.monomial(3, [2, 2])
+    for bad in (binomial, SparsePoly.zero(3)):
+        with pytest.raises(ValueError, match="non-monomial"):
+            monomial_hilbert([(1, 0, 0), bad], 3, 2)
 
 
 def test_face_vector_torus():
@@ -130,6 +173,104 @@ def test_one_pass_rows_match_the_two_pass_oracle(gens):
         for row, entries in zip(mat.tolist(), oracle_rows):
             assert [j for j, v in enumerate(row) if v] == [j for j, _ in entries], t
             assert len({row[j] / v for j, v in entries}) == 1, t
+
+
+@pytest.mark.parametrize("nvars, t_max", [(1, 4), (3, 5), (9, 4), (62, 1)])
+def test_packed_bases_are_the_graded_monomials_packed(nvars, t_max):
+    weights, bases = _packed_bases(nvars, t_max)
+    assert weights.tolist() == [(t_max + 1) ** i for i in range(nvars)]
+    for k, base in enumerate(bases):
+        assert base.dtype == np.int64
+        packed = [sum(e * w for e, w in zip(exps, weights.tolist()))
+                  for exps in graded_monomials(nvars, k)]
+        assert base.tolist() == packed
+        assert (np.diff(base) > 0).all()  # the lookups are searchsorted
+
+
+@pytest.mark.parametrize("nvars, t_max", [(20, 8), (9, 127), (63, 1)])
+def test_monomials_that_do_not_pack_into_int64_are_rejected(nvars, t_max):
+    # (t_max + 1)^nvars reaches 2^63 (for (9, 127) and (63, 1) exactly)
+    message = f"{nvars} variables up to degree {t_max}"
+    with pytest.raises(ValueError, match=message):
+        next(_macaulay_matrices([SparsePoly.variable(nvars, 0)], nvars, t_max))
+    with pytest.raises(ValueError, match=message):
+        graded_hilbert([SparsePoly.variable(nvars, 0)], nvars, t_max)
+    with pytest.raises(ValueError, match=message):
+        monomial_hilbert([SparsePoly.variable(nvars, 0)], nvars, t_max)
+
+
+def test_the_largest_packing_is_accepted():
+    # 2^62 < 2^63
+    assert monomial_hilbert([SparsePoly.variable(62, 0)], 62, 1) == [1, 61]
+    assert graded_hilbert([SparsePoly.variable(62, 0)], 62, 1) == [1, 61]
+
+
+def test_cleared_coefficients_outside_int64_are_rejected():
+    # clearing the denominator 2^62 makes -mu = -3 * 2^62
+    gens = j_family(Fraction(1, 2 ** 62), 3).generators()
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        graded_hilbert(gens, 9, 3)
+    # the int64 ends themselves are held exactly
+    assert graded_hilbert(j_family(-2 ** 63, 2 ** 63 - 1).generators(), 9, 3) == TORUS_PROFILE[:4]
+
+
+@st.composite
+def _mixed_generators(draw):
+    """(generators, nvars, t_max): homogeneous monomials and 2-5 term polynomials.
+
+    Degrees run up to t_max + 1, coefficients are rational, and some
+    generators repeat an earlier one, so rows are killed, cleared, padded
+    and deduplicated in every combination.
+    """
+    nvars = draw(st.integers(3, 5))
+    t_max = draw(st.integers(1, 5 if nvars < 5 else 4))
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        if gens and draw(st.integers(0, 4)) == 0:
+            # the same polynomial again, its terms in the same or reversed order
+            again = draw(st.sampled_from(gens))
+            if draw(st.booleans()):
+                again = SparsePoly(nvars, reversed(list(again.terms.items())))
+            gens.append(again)
+            continue
+        basis = graded_monomials(nvars, draw(st.integers(1, t_max + 1)))
+        nterms = 1 if draw(st.integers(0, 2)) == 0 else draw(st.integers(2, min(5, len(basis))))
+        support = draw(st.lists(st.sampled_from(basis), min_size=nterms, max_size=nterms,
+                                unique=True))
+        gens.append(SparsePoly(nvars, {e: draw(coeffs) for e in support}))
+    return gens, nvars, t_max
+
+
+# x1 kills the second term of both binomials, which leaves one row (x0 : 1)
+_ROWS_EQUAL_AFTER_KILLING = (
+    [SparsePoly.variable(3, 1),
+     SparsePoly(3, {(1, 0, 0): 1, (0, 1, 0): 2}),
+     SparsePoly(3, {(1, 0, 0): 1, (0, 1, 0): 3})],
+    3, 2,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mixed_generators())
+@example(_ROWS_EQUAL_AFTER_KILLING)
+def test_macaulay_matrices_match_the_row_loop_oracle(case):
+    gens, nvars, t_max = case
+    built = list(_macaulay_matrices(gens, nvars, t_max))
+    oracle = list(row_loop_macaulay_matrices(gens, nvars, t_max))
+    assert len(built) == len(oracle) == t_max + 1
+    for t, (mat, want) in enumerate(zip(built, oracle)):
+        assert mat.dtype == want.dtype == np.int64, t
+        assert mat.shape == want.shape, t
+        assert np.array_equal(mat, want), t
+
+
+def test_macaulay_matrices_match_the_row_loop_oracle_on_the_family():
+    for gens in (j_family(3, 7).generators(), j_family(Fraction(2, 3), Fraction(-5, 7)).generators(),
+                 j_family(0, 1).generators(), v_dot_R4([0, 1, 0, 0, 0])):
+        for mat, want in zip(_macaulay_matrices(gens, 9, 6), row_loop_macaulay_matrices(gens, 9, 6)):
+            assert mat.dtype == want.dtype and mat.shape == want.shape
+            assert np.array_equal(mat, want)
 
 
 def test_flatness_evidence():
