@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from . import golden
 from .chartab import (
     GEN_S,
@@ -68,6 +70,7 @@ from .hilbert import (
     RANK_PRIMES,
     SimplicialComplex,
     abelian_surface_profile,
+    check_packable,
     face_vector,
     flatness_evidence,
     graded_hilbert,
@@ -129,6 +132,10 @@ class RunConfig:
                 raise ValueError(f"{name}: {exc}") from None
         if self.t_max < 2:
             raise ValueError("t_max must be at least 2")
+        try:
+            check_packable(9, self.t_max)
+        except ValueError as exc:
+            raise ValueError(f"t_max: {exc}") from None
         if self.format not in ("json", "text"):
             raise ValueError("format must be json or text")
         samples = self.lambda_mu_samples
@@ -282,13 +289,14 @@ def check_d11_plucker_decomposable(ctx: RunContext):
     if witness is None:
         return FAIL, {"error": f"no rank-4 point over F_{q}"}
     point = list(witness)
-    pmat = evaluate_skew_mod(theta_plucker_d11(), point, q)
+    pmat = evaluate_skew_mod(theta_plucker_d11(), np.array([point]), q)
+    # the evaluated Plucker matrix is a rank-2 form whose rows kill S(P)
+    rank2 = bool(rank_gauss_mod(pmat, q)[0] == 2)
+    pmat = pmat[0].tolist()
     values = SkewMatrix(6, {(i, j): pmat[i][j] for i, j in itertools.combinations(range(6), 2)})
     residues = [values.pf_on(quad) % q for quad in itertools.combinations(range(6), 4)]
     decomposable = all(r == 0 for r in residues)
-    # the evaluated Plucker matrix is a rank-2 form whose rows kill S(P)
-    rank2 = rank_gauss_mod(pmat, q) == 2
-    s_rows = evaluate_skew_mod(s_matrix(11), point, q)
+    s_rows = evaluate_skew_mod(s_matrix(11), np.array([point]), q)[0].tolist()
     kills = all(
         sum(row[i] * s_rows[i][j] for i in range(6)) % q == 0
         for row in pmat

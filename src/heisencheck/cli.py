@@ -16,7 +16,7 @@ import tempfile
 
 from .checks import PASS, FAIL, WARN, CheckReport, RunConfig, SUITES, exit_code, run_suite
 from .ffscan import census_csv, scan_strata
-from .hilbert import abelian_surface_profile, graded_hilbert
+from .hilbert import abelian_surface_profile, check_packable, graded_hilbert
 from .surface9 import j_family
 
 USAGE_ERROR = 2
@@ -172,6 +172,7 @@ def cmd_hilbert(args) -> int:
     try:
         if args.max_deg < 0:
             raise ValueError(f"--max-deg must be nonnegative, got {args.max_deg}")
+        check_packable(9, args.max_deg)
         for flag, value in (("--lambda", args.lam), ("--mu", args.mu)):
             # the Macaulay matrices hold the coefficients lambda, -mu in int64
             if abs(value) >= 2 ** 63:

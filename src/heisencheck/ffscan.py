@@ -7,8 +7,9 @@ The rank census enumerates every point by brute force.  Strata of the
 skew quadric matrix are classified through Pfaffian vanishing (for an
 alternating matrix, rank < 2k+2 exactly when all (2k+2)-Pfaffians vanish),
 evaluated as vectorized arithmetic over a block of canonical points at
-once; exact Gaussian elimination is kept as the per-point oracle and
-cross-checked on every scan.
+once.  Each scan keeps every step-th point with its rank and re-ranks
+them all at the end by exact elimination on the evaluated entries, apart
+from the kernel's entry gather.
 
 For d = 11 the rank-4 locus is cut out by one polynomial, the sextic
 Pfaffian, so the kernel decides the top rank from a single leading
@@ -59,7 +60,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactnum import cyclo_mod, fraction_mod, is_prime, nth_root_in_prime_field
+from .exactnum import CycloNum, cyclo_mod, fraction_mod, is_prime, nth_root_in_prime_field
 from .heisenberg import s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
@@ -161,7 +162,8 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
 
 
 def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
-    """Values of f at each row of X, mod q; coefficients must be rational.
+    """Values of f at each row of X, mod q; coefficients must be rational,
+    and a cyclotomic one raises ValueError.
 
     Entries of X must lie in (-q, q).  As in _horner, bounds on the absolute
     values of the term and of the running total are tracked, and each is
@@ -174,6 +176,8 @@ def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
     total = np.zeros(X.shape[0], dtype=np.int64)
     total_bound = 0
     for exps, coeff in f.terms.items():
+        if isinstance(coeff, CycloNum):
+            raise ValueError("cyclotomic coefficient has no reduction mod q")
         c = fraction_mod(coeff, q)
         if not c:
             continue
@@ -373,20 +377,18 @@ def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def evaluate_skew_mod(matrix: SkewMatrix, point, q: int) -> list[list[int]]:
-    """Full matrix of values mod q at one point; each upper entry is evaluated
-    once and the lower triangle is its negative."""
-    rows = [[0] * matrix.size for _ in range(matrix.size)]
+def evaluate_skew_mod(matrix: SkewMatrix, points: np.ndarray, q: int) -> np.ndarray:
+    """Values mod q of the matrix at each row of points, an (n, m, m) stack."""
+    stack = np.zeros((points.shape[0], matrix.size, matrix.size), dtype=np.int64)
     for (i, j), f in matrix.upper.items():
-        v = f.evaluate_mod(point, q)
-        rows[i][j] = v
-        rows[j][i] = (-v) % q
-    return rows
+        stack[:, i, j] = evaluate_poly_batch(f, points, q)
+        stack[:, j, i] = -stack[:, i, j] % q
+    return stack
 
 
-def rank_at_point(d: int, q: int, point) -> int:
-    """Exact elimination rank of the quadric matrix at one point."""
-    return rank_gauss_mod(evaluate_skew_mod(s_matrix(d), point, q), q)
+def rank_at_point(d: int, q: int, points: np.ndarray) -> np.ndarray:
+    """Exact elimination rank of the quadric matrix at each row of points."""
+    return rank_gauss_mod(evaluate_skew_mod(s_matrix(d), points, q), q)
 
 
 def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
@@ -400,8 +402,10 @@ def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
     # the minimal stratum is tiny (the census contract reports its points);
     # higher strata grow like q^3 and only their counts are kept
     collected: dict[int, list] = {0: [], 2: []}
+    # every step-th point in scan order, its kernel rank in the last column
+    samples = np.empty((-(-total // step), ncoords + 1), dtype=np.int64)
     top = possible[-1]
-    offset = 0
+    offset = sampled = 0
     for pts in point_blocks(ncoords, q, block_size):
         ranks = _batch_ranks(d, q, pts)
         # counts and points come from the few rows below the top rank
@@ -414,18 +418,21 @@ def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
         for r in collected:
             for row in pts[below[low == r]]:
                 collected[r].append(tuple(int(c) for c in row))
-        first = (-offset) % step
-        for k in range(first, pts.shape[0], step):
-            expected = rank_at_point(d, q, [int(c) for c in pts[k]])
-            if expected != int(ranks[k]):
-                raise AssertionError(
-                    f"Pfaffian stratification disagrees with elimination at point {pts[k]}"
-                )
+        picked = slice((-offset) % step, None, step)
+        filled = sampled + len(ranks[picked])
+        samples[sampled:filled, :-1] = pts[picked]
+        samples[sampled:filled, -1] = ranks[picked]
+        sampled = filled
         offset += pts.shape[0]
         # free the block before point_blocks builds the next one
         del pts
 
-    assert offset == total
+    assert offset == total and sampled == samples.shape[0]
+    wrong = np.flatnonzero(rank_at_point(d, q, samples[:, :-1]) != samples[:, -1])
+    if wrong.size:
+        point = tuple(int(c) for c in samples[wrong[0], :-1])
+        raise AssertionError(
+            f"Pfaffian stratification disagrees with elimination at point {point}")
     # at a coordinate point e_k the only nonzero upper entry is
     # a_(0,k+1) = x_k^2, so rank 2 occurs over every F_q and the minimal
     # stratum is always one of the collected ranks

@@ -34,6 +34,13 @@ RANK_PRIMES = (1073741789, 1073741783)
 # -- packed monomials ------------------------------------------------------------
 
 
+def check_packable(nvars: int, t_max: int) -> None:
+    """Reject a degree whose monomials in nvars variables do not pack into int64."""
+    if (t_max + 1) ** nvars >= 2 ** 63:
+        raise ValueError(f"monomials in {nvars} variables up to degree {t_max} do not pack "
+                         f"into int64: (degree + 1)^{nvars} must be below 2^63")
+
+
 def _packed_bases(nvars: int, t_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Weights and bases[k], the degree-k monomials packed in base t_max + 1.
 
@@ -46,9 +53,7 @@ def _packed_bases(nvars: int, t_max: int) -> tuple[np.ndarray, list[np.ndarray]]
     the packed integers do, so each bases[k] is also ascending and a
     searchsorted finds a monomial's index.
     """
-    if (t_max + 1) ** nvars >= 2 ** 63:
-        raise ValueError(
-            f"monomials in {nvars} variables up to degree {t_max} do not pack into int64")
+    check_packable(nvars, t_max)
     weights = (t_max + 1) ** np.arange(nvars, dtype=np.int64)
     bases = [np.array([d], dtype=np.int64) for d in range(t_max + 1)]
     for w in weights[1:]:

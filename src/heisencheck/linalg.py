@@ -78,6 +78,12 @@ def _peel_singletons(A: np.ndarray) -> tuple[int, np.ndarray]:
     return len(peeled), A[np.ix_(np.flatnonzero(live), np.flatnonzero(count))]
 
 
+def _check_modulus(p: int) -> None:
+    """Reject a p whose residues' products could leave int64."""
+    if not 2 <= p < 2 ** 31:
+        raise ValueError(f"modular rank needs 2 <= p < 2^31, got p = {p}")
+
+
 def rank_mod(matrix: np.ndarray, p: int) -> int:
     """Rank over F_p for a prime p with 2 <= p < 2^31.
 
@@ -91,8 +97,7 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     with a nonzero in the pivot column, a small share on sparse Macaulay
     matrices.
     """
-    if not 2 <= p < 2 ** 31:
-        raise ValueError(f"rank_mod needs 2 <= p < 2^31, got p = {p}")
+    _check_modulus(p)
     peeled, A = _peel_singletons(np.asarray(matrix, dtype=np.int64) % p)
     rows, cols = A.shape
     r = 0
@@ -116,29 +121,26 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     return peeled + r
 
 
-def rank_gauss_mod(rows: list[list[int]], q: int) -> int:
-    """Pure-Python exact elimination over F_q, for small matrices."""
-    mat = [[x % q for x in r] for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+def rank_gauss_mod(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank over F_p of each (small, dense) matrix in an (n, rows, cols) stack.
+
+    All are eliminated at once, a column c at a time: each matrix pivots on
+    its first row r not yet pivoted on with a_rc != 0, and every row i
+    becomes a_rc row_i - a_ic row_r.  As in rank_mod, 2 <= p < 2^31 and
+    entries stay in [0, p), so no product leaves int64.
+    """
+    _check_modulus(p)
+    A = np.asarray(stack, dtype=np.int64) % p
+    n, rows, cols = A.shape
+    free = np.ones((n, rows), dtype=bool)
+    for c in range(cols):
+        candidates = (A[:, :, c] != 0) & free
+        pivoting = np.flatnonzero(candidates.any(axis=1))
+        if not pivoting.size:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], q - 2, q)
-        mat[rank] = [x * inv % q for x in mat[rank]]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            if f:
-                mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        pivot = candidates[pivoting].argmax(axis=1)
+        sub = A[pivoting]
+        row = sub[np.arange(pivoting.size), pivot][:, None, :]
+        A[pivoting] = (sub * row[:, :, c:c + 1] - sub[:, :, c:c + 1] * row) % p
+        free[pivoting, pivot] = False
+    return rows - free.sum(axis=1)

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactnum import CycloNum, fraction_mod
+from .exactnum import CycloNum
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -252,19 +252,6 @@ class SparsePoly:
             total = v + total
         if isinstance(total, int):
             return Fraction(total)
-        return total
-
-    def evaluate_mod(self, point, q: int) -> int:
-        """Value in F_q of a polynomial with rational coefficients."""
-        total = 0
-        for exps, coeff in self.terms.items():
-            if isinstance(coeff, CycloNum):
-                raise ValueError("cyclotomic coefficient has no reduction mod q")
-            c = fraction_mod(coeff, q)
-            for x, e in zip(point, exps):
-                if e:
-                    c = c * pow(int(x) % q, e, q) % q
-            total = (total + c) % q
         return total
 
     def __str__(self) -> str:

@@ -179,6 +179,44 @@ def scan_common_zeros(polys: list[SparsePoly], ncoords: int, q: int) -> np.ndarr
     return pts[mask]
 
 
+# -- the per-point paths behind ffscan.rank_at_point ----------------------------
+
+
+def evaluate_mod(f: SparsePoly, point, q: int) -> int:
+    """Value in F_q of a polynomial with rational coefficients, one term at a time."""
+    total = 0
+    for exps, coeff in f.terms.items():
+        c = coeff.numerator % q * pow(coeff.denominator, -1, q) % q
+        for x, e in zip(point, exps):
+            if e:
+                c = c * pow(int(x) % q, e, q) % q
+        total = (total + c) % q
+    return total
+
+
+def list_rank_mod(rows: list[list[int]], q: int) -> int:
+    """Rank over F_q by Gaussian elimination on Python lists, one matrix at a time."""
+    mat = [[x % q for x in r] for r in rows]
+    if not mat:
+        return 0
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], q - 2, q)
+        mat[rank] = [x * inv % q for x in mat[rank]]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            if f:
+                mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
 # -- the slow path behind ffscan._batch_ranks: every Pfaffian at every point ---
 
 

@@ -258,6 +258,19 @@ def test_negative_max_deg_is_usage_error(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_degrees_beyond_the_packing_bound_are_usage_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "graded_hilbert", _must_not_run)
+    monkeypatch.setattr(cli, "run_suite", _must_not_run)
+    assert main(["hilbert", "--lambda", "1", "--mu", "1", "--max-deg", "127"]) == 2
+    assert "(degree + 1)^9 must be below 2^63" in capsys.readouterr().err
+    config = tmp_path / "deep.cfg"
+    config.write_text("t_max = 127\n")
+    assert main(["verify", "--config", str(config)]) == 2
+    assert "t_max: monomials in 9 variables up to degree 127" in capsys.readouterr().err
+    # 127^9 < 2^63 <= 128^9
+    RunConfig(t_max=126).validate()
+
+
 def test_scan_subcommand(tmp_path, capsys):
     path = tmp_path / "census.csv"
     code = main(["scan", "--d", "9", "--prime", "19", "--csv", str(path)])

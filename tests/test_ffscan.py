@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, islice
 from math import isqrt
@@ -31,7 +32,7 @@ from heisencheck.ffscan import (
 from heisencheck.grassfano import jacobian_quadrics, klein_cubic
 from heisencheck.heisenberg import s_matrix
 from heisencheck.mpoly import SparsePoly, graded_monomials
-from oracles import canonical_points, closed_form_ranks, scan_common_zeros
+from oracles import canonical_points, closed_form_ranks, evaluate_mod, scan_common_zeros
 
 # the largest q the census accepts, 2^31 - 1, and the largest q the
 # closed-form oracle accepts, 5 (q-1)^2 < 2^63
@@ -245,7 +246,7 @@ def test_evaluate_poly_batch_stays_inside_int64(q):
     for f in _test_polynomials(nvars, q):
         values = evaluate_poly_batch(f, X, q)
         assert values.dtype == np.int64
-        assert values.tolist() == [f.evaluate_mod([int(x) for x in row], q) for row in X]
+        assert values.tolist() == [evaluate_mod(f, row, q) for row in X]
 
 
 def test_census_d9_larger_prime():
@@ -319,8 +320,8 @@ def test_batch_ranks_agree_with_elimination():
         assert (ranks == _oracle_ranks(d, q, pts)).all()
         assert (ranks == closed_form_ranks(d, q, pts)).all()
         assert set(np.unique(ranks)) == {0, 2, 4} | ({6} if d == 11 else set())
-        for k in [*range(0, pts.shape[0], 997), pts.shape[0] - 1]:
-            assert ranks[k] == rank_at_point(d, q, [int(c) for c in pts[k]])
+        sample = [*range(0, pts.shape[0], 997), pts.shape[0] - 1]
+        assert (ranks[sample] == rank_at_point(d, q, pts[sample])).all()
 
 
 # at 60013 and 2360003, q^4 and q^3 land between 2^63 and 2^64, where an
@@ -380,7 +381,7 @@ def test_kernel_matches_elimination_on_random_points(d, q):
     def run(points):
         pts = np.array(points, dtype=np.int64)
         ranks = _batch_ranks(d, q, pts)
-        assert [int(r) for r in ranks] == [rank_at_point(d, q, list(p)) for p in points]
+        assert (ranks == rank_at_point(d, q, pts)).all()
         assert (ranks == _oracle_ranks(d, q, pts)).all()
         assert (ranks == closed_form_ranks(d, q, pts)).all()
 
@@ -416,8 +417,7 @@ def test_kernel_matches_the_oracles_on_runs(d, q):
         ranks = _batch_ranks(d, q, pts)
         assert (ranks == closed_form_ranks(d, q, pts)).all()
         assert (ranks == _oracle_ranks(d, q, pts)).all()
-        assert [int(r) for r in ranks] == [rank_at_point(d, q, [int(c) for c in p])
-                                           for p in pts]
+        assert (ranks == rank_at_point(d, q, pts)).all()
 
     run()
 
@@ -436,8 +436,7 @@ def test_kernel_on_runs_that_wrap_at_the_largest_primes(d, q):
         if q <= LARGEST_CLOSED_FORM_Q:
             assert (ranks == closed_form_ranks(d, q, pts)).all()
         assert (ranks == _oracle_ranks(d, q, pts)).all()
-        assert [int(r) for r in ranks] == [rank_at_point(d, q, [int(c) for c in p])
-                                           for p in pts]
+        assert (ranks == rank_at_point(d, q, pts)).all()
 
     run()
 
@@ -466,8 +465,7 @@ def _assert_exact_ranks(d, q, pts):
     # elimination at every low-rank row and at a spread of the others
     top = s_matrix(d).size // 2 * 2
     sample = np.union1d(np.flatnonzero(ranks < top), np.arange(0, pts.shape[0], 41))
-    assert [int(ranks[k]) for k in sample] == [
-        rank_at_point(d, q, [int(c) for c in pts[k]]) for k in sample]
+    assert (ranks[sample] == rank_at_point(d, q, pts[sample])).all()
 
 
 @pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
@@ -561,10 +559,44 @@ def test_d11_counts_are_consistent():
     assert census.counts[2] == len(census.min_rank_points)
 
 
+@pytest.mark.parametrize("d,q,block_size,samples", [(9, 19, 1000, 518),
+                                                     (11, 23, SCAN_BLOCK, 513)])
+def test_scan_cross_checks_every_step_th_point_in_one_call(d, q, block_size, samples,
+                                                          monkeypatch):
+    calls = []
+
+    def spy(d, q, points):
+        calls.append(points.copy())
+        return rank_at_point(d, q, points)
+
+    monkeypatch.setattr(ffscan, "rank_at_point", spy)
+    scan_strata(d, q, block_size)
+    pts = canonical_points((d - 1) // 2, q)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], pts[::pts.shape[0] // ffscan.CROSS_CHECK_SAMPLES])
+    assert calls[0].shape[0] == samples
+
+
+def test_cross_check_catches_a_wrong_kernel_rank(monkeypatch):
+    pts = canonical_points(4, 19)
+    bad = tuple(int(c) for c in pts[200 * (pts.shape[0] // ffscan.CROSS_CHECK_SAMPLES)])
+    batch_ranks = ffscan._batch_ranks
+
+    def broken(d, q, block):
+        ranks = batch_ranks(d, q, block)
+        hit = (block == bad).all(axis=1)
+        ranks[hit] = 6 - ranks[hit]  # rank 4 reads 2 and rank 2 reads 4
+        return ranks
+
+    monkeypatch.setattr(ffscan, "_batch_ranks", broken)
+    with pytest.raises(AssertionError, match=re.escape(f"at point {bad}")):
+        scan_strata(9, 19, block_size=1000)
+
+
 def test_find_stratum_point():
     hit = find_stratum_point(11, 23, 4)
     assert hit is not None
-    assert rank_at_point(11, 23, list(hit)) == 4
+    assert rank_at_point(11, 23, np.array([hit])).tolist() == [4]
     assert find_stratum_point(9, 19, 0) is None
     low = find_stratum_point(9, 19, 2)
     assert low is not None

@@ -131,26 +131,13 @@ def test_sextic_evaluations():
 def test_kernel_map_at_several_rank4_points():
     # at points of the sextic hypersurface away from the curve, the
     # evaluated kernel-map matrix drops to rank 2
-    from heisencheck.ffscan import rank_at_point
+    from heisencheck.ffscan import evaluate_skew_mod, rank_at_point
     from oracles import canonical_points
     from heisencheck.linalg import rank_gauss_mod
 
     q = 23
-    p = theta_plucker_d11()
-    pts = canonical_points(5, q)
-    found = 0
-    for row in pts[:: 831]:
-        point = [int(c) for c in row]
-        if rank_at_point(11, q, point) != 4:
-            continue
-        pmat = [
-            [p.entry(i, j).evaluate_mod(point, q) if i < j
-             else ((-p.entry(j, i).evaluate_mod(point, q)) % q if i > j else 0)
-             for j in range(6)]
-            for i in range(6)
-        ]
-        assert rank_gauss_mod(pmat, q) == 2
-        found += 1
-        if found >= 5:
-            break
-    assert found >= 3
+    pts = canonical_points(5, q)[:: 831]
+    rank4 = pts[rank_at_point(11, q, pts) == 4][:5]
+    assert rank4.shape[0] >= 3
+    ranks = rank_gauss_mod(evaluate_skew_mod(theta_plucker_d11(), rank4, q), q)
+    assert (ranks == 2).all()

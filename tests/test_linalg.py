@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from heisencheck.linalg import _peel_singletons, rank_mod
-from oracles import dense_rank_mod
+from heisencheck.linalg import _peel_singletons, rank_gauss_mod, rank_mod
+from oracles import dense_rank_mod, list_rank_mod
 
 PRIMES = (2, 3, 5, 1073741789, 2147483647)
 
@@ -70,9 +70,53 @@ def test_rank_mod_at_the_largest_prime():
     assert rank_mod(full, p) == 1
     full[np.arange(5), np.arange(5)] = 1 - 2 ** 40
     assert rank_mod(full, p) == dense_rank_mod(full, p) == 5
+    stack = np.stack((np.full((5, 7), p - 1), full))
+    assert rank_gauss_mod(stack, p).tolist() == [1, 5]
 
 
 @pytest.mark.parametrize("p", [1, 0, -7, 2 ** 31, 2 ** 31 + 11])
 def test_rank_mod_rejects_moduli_outside_the_int64_bound(p):
     with pytest.raises(ValueError, match="2\\^31"):
         rank_mod(np.eye(3, dtype=np.int64), p)
+    with pytest.raises(ValueError, match="2\\^31"):
+        rank_gauss_mod(np.eye(3, dtype=np.int64)[None], p)
+
+
+@st.composite
+def _stacks(draw):
+    """(stack, free, p): stacks of small integer matrices of rank at most free.
+
+    Each matrix is `free` random rows (none for an all-zero matrix), some
+    of their entries nonzero multiples of p, and combinations of them, in
+    shuffled order.  The stack may be empty.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(0, 12))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    bound = draw(st.sampled_from((1, 9, 2 ** 40)))
+    density = draw(st.sampled_from((0.0, 0.2, 0.6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = np.empty((n, rows, cols), dtype=np.int64)
+    free = rng.integers(0, rows, size=n, endpoint=True)
+    for mat, k in zip(stack, free):
+        base = rng.integers(-bound, bound, size=(k, cols), endpoint=True)
+        multiples = rng.random(base.shape) < density
+        base[multiples] = rng.integers(1, 3, size=multiples.sum(), endpoint=True) * p
+        combos = rng.integers(-3, 3, size=(rows - k, k), endpoint=True) @ base
+        mat[:] = np.vstack((base, combos))[rng.permutation(rows)]
+    return stack, free, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_stacks())
+@example((np.empty((0, 6, 6), dtype=np.int64), np.empty(0, dtype=np.int64), 2))
+@example((np.zeros((3, 4, 5), dtype=np.int64), np.zeros(3, dtype=np.int64), 2 ** 31 - 1))
+def test_rank_gauss_mod_matches_the_list_eliminator(case):
+    stack, free, p = case
+    before = stack.copy()
+    ranks = rank_gauss_mod(stack, p)
+    assert ranks.shape == (stack.shape[0],)
+    assert ranks.tolist() == [list_rank_mod(mat.tolist(), p) for mat in stack]
+    assert (ranks <= free).all()
+    assert np.array_equal(stack, before)
+

@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisencheck.exactnum import CycloNum
+from heisencheck.ffscan import evaluate_poly_batch
 from heisencheck.mpoly import (
     SparsePoly,
     divide_exact,
@@ -123,10 +125,12 @@ def test_graded_monomials_match_the_sorting_oracle():
 
 
 def test_evaluate_mod_rejects_cyclotomic_coefficients():
+    point = np.array([[1, 2]])
     f = SparsePoly(2, {(1, 0): CycloNum.root(9), (0, 1): 1})
-    with pytest.raises(ValueError):
-        f.evaluate_mod([1, 2], 19)
-    assert SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 1): 1}).evaluate_mod([1, 2], 19) == 12
+    with pytest.raises(ValueError, match="cyclotomic"):
+        evaluate_poly_batch(f, point, 19)
+    half = SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 1): 1})
+    assert evaluate_poly_batch(half, point, 19).tolist() == [12]
 
 
 NAMES = ["x0", "x1", "x2", "x3"]
