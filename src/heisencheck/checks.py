@@ -36,7 +36,7 @@ from .chartab import (
     power_map,
     sym_power_character,
 )
-from .exactnum import CycloNum, is_prime
+from .exactnum import CycloNum, check_modulus
 from .ffscan import (
     check_scan_prime,
     ci_curve_points_d9,
@@ -72,7 +72,6 @@ from .hilbert import (
     abelian_surface_profile,
     check_packable,
     face_vector,
-    flatness_evidence,
     graded_hilbert,
     monomial_hilbert,
     stanley_reisner_hilbert,
@@ -151,22 +150,19 @@ class RunConfig:
             raise ValueError("lambda_mu_samples: need at least two distinct points of P^1")
         if not self.jacobian_primes:
             raise ValueError("jacobian_primes: need at least one odd prime")
-        for q in self.jacobian_primes:
-            # evaluate_poly_batch reduces before a multiply or add could reach 2^63,
-            # and q < 2^31 keeps each product of two residues below 2^62
-            if q >= 2 ** 31:
-                raise ValueError(f"jacobian_primes: q = {q} is too large: q must be below 2^31")
-            # the factor 2 in the Jacobian quadrics vanishes over F_2
-            if q == 2 or not is_prime(q):
-                raise ValueError(f"jacobian_primes: q = {q} is not an odd prime")
         if len(self.rank_primes) != 2 or self.rank_primes[0] == self.rank_primes[1]:
             raise ValueError("rank_primes: need exactly two distinct primes")
-        for p in self.rank_primes:
-            # rank_mod forms products below p^2, which must fit in int64
-            if p >= 2 ** 31:
-                raise ValueError(f"rank_primes: p = {p} is too large: p must be below 2^31")
-            if not is_prime(p):
-                raise ValueError(f"rank_primes: p = {p} is not prime")
+        for name in ("jacobian_primes", "rank_primes"):
+            for q in getattr(self, name):
+                try:
+                    check_modulus(q)  # tests the bound before any trial division
+                    # the factor 2 in the Jacobian quadrics vanishes over F_2
+                    if name == "jacobian_primes" and q == 2:
+                        raise ValueError(f"q = {q} is not an odd prime")
+                except ValueError as exc:
+                    if name == "jacobian_primes" and "not prime" in str(exc):
+                        exc = f"q = {q} is not an odd prime"
+                    raise ValueError(f"{name}: {exc}") from None
 
 
 class RunContext:
@@ -521,16 +517,15 @@ def check_hilbert_faces(ctx: RunContext):
 
 
 def check_hilbert_flatness(ctx: RunContext):
-    samples = ctx.config.lambda_mu_samples
+    # the samples share one Hilbert function, the flatness evidence, when each has the target
     t_max = ctx.config.t_max
-
-    def sampler(lam, mu):
-        return j_family(lam, mu).generators()
-
-    flat, profiles = flatness_evidence(sampler, samples, t_max, ctx.config.rank_primes)
+    profiles = {
+        f"{lam}:{mu}": graded_hilbert(j_family(lam, mu).generators(), 9, t_max,
+                                      ctx.config.rank_primes)
+        for lam, mu in ctx.config.lambda_mu_samples
+    }
     target = abelian_surface_profile(t_max)
-    matches_target = all(p == target for p in profiles.values())
-    ok = flat and matches_target
+    ok = all(p == target for p in profiles.values())
     return (PASS if ok else FAIL), {
         "profiles": profiles,
         "target": target,
@@ -710,7 +705,7 @@ def check_scan_d11(ctx: RunContext):
     q = census.q
     d1_count = census.counts.get(0, 0) + census.counts.get(2, 0)
     d2_count = d1_count + census.counts.get(4, 0)
-    w1 = weil_window_d1(11, q)
+    w1 = weil_window_d1(q)
     w2 = hypersurface_window_d2(q)
     inside = w1[0] <= d1_count <= w1[1] and w2[0] <= d2_count <= w2[1]
     details = {

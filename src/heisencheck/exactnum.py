@@ -52,9 +52,24 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Primality by trial division, through prime_factors."""
     return n >= 2 and prime_factors(n) == [n]
+
+
+def check_modulus(q: int) -> None:
+    """Reject a q that is not a prime below 2^31, the rule of every F_q kernel.
+
+    Inversion by Fermat's rule needs q prime, and with residues in [0, q)
+    every product of two of them is below q^2 < 2^62, so a kernel that
+    reduces before a multiply or add could reach 2^63 never leaves int64.
+    The bound is tested first, so a huge q is rejected without trial division.
+    """
+    if q >= 2 ** 31:
+        raise ValueError(f"q = {q} is too large: q must be a prime below 2^31")
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime: q must be a prime below 2^31")
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:

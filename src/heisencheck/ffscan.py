@@ -40,7 +40,8 @@ and rank 0 never occurs at a point.
 
 Every reduction mod q is x - (x // q) q, which numpy computes without a
 hardware divide, and it is made only when the next multiply or add could
-reach 2^63: q < 2^31 keeps each product of two residues below 2^62.
+reach 2^63.  Every entry point takes q through exactnum.check_modulus, a
+prime below 2^31, so each product of two residues is below 2^62.
 
 The common-zero sieve (common_zeros) finds the points where a system of
 polynomials vanishes without visiting every point.  It assigns one
@@ -60,7 +61,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactnum import CycloNum, cyclo_mod, fraction_mod, is_prime, nth_root_in_prime_field
+from .exactnum import CycloNum, check_modulus, cyclo_mod, fraction_mod, nth_root_in_prime_field
 from .heisenberg import s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
@@ -91,12 +92,7 @@ def check_scan_prime(d: int, q: int) -> None:
     """Reject a (d, q) that the census cannot scan exactly."""
     if d not in (9, 11):
         raise ValueError("d must be 9 or 11")
-    # the kernel reduces before a multiply or add could reach 2^63, and
-    # q < 2^31 keeps each product of two residues below 2^62
-    if q >= 2 ** 31:
-        raise ValueError(f"q = {q} is too large: q must be below 2^31")
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
+    check_modulus(q)
     if (q - 1) % d != 0:
         raise ValueError(f"{d} must divide {q}-1 so roots of unity reduce")
 
@@ -163,7 +159,8 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
 
 def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
     """Values of f at each row of X, mod q; coefficients must be rational,
-    and a cyclotomic one raises ValueError.
+    and a cyclotomic one raises ValueError, as does a q that fails
+    exactnum.check_modulus (a prime below 2^31).
 
     Entries of X must lie in (-q, q).  As in _horner, bounds on the absolute
     values of the term and of the running total are tracked, and each is
@@ -172,6 +169,7 @@ def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
     a reduction a product is below q^2 < 2^62.  So at the largest primes
     every step reduces, and at q = 67 only the total, once.
     """
+    check_modulus(q)
     limit = 2 ** 63
     total = np.zeros(X.shape[0], dtype=np.int64)
     total_bound = 0
@@ -206,12 +204,7 @@ def common_zeros(polys: list[SparsePoly], ncoords: int, q: int,
     one coordinate at a time, and each polynomial is imposed as soon as its
     last variable is assigned; no stage holds more than block_size rows.
     """
-    # evaluate_poly_batch reduces before a multiply or add could reach 2^63,
-    # and q < 2^31 keeps each product of two residues below 2^62
-    if q >= 2 ** 31:
-        raise ValueError(f"q = {q} is too large: q must be below 2^31")
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
+    check_modulus(q)
     if any(f.nvars != ncoords for f in polys):
         raise ValueError(f"every polynomial must have {ncoords} variables")
     # the last variable each polynomial involves; -1 for a constant
@@ -464,6 +457,7 @@ def ci_curve_points_d9(q: int) -> set[tuple[int, ...]]:
 
 def special_points_d9_mod(q: int) -> set[tuple[int, ...]]:
     """Reductions of the four isolated rank-2 points, as canonical chart points."""
+    check_modulus(q)
     root = nth_root_in_prime_field(9, q)
     out = set()
     for P in special_points_d9():
@@ -506,21 +500,19 @@ def census_csv(censuses: list[StratumCensus]) -> str:
     return buf.getvalue()
 
 
-def weil_window_d1(d: int, q: int) -> tuple[int, int]:
-    """Heuristic curve window: q + 1 +/- 2 g sqrt(q), genus 26 for d = 11.
+def weil_window_d1(q: int) -> tuple[int, int]:
+    """Heuristic curve window for d = 11: q + 1 +/- 2 g sqrt(q), genus 26.
 
     Evidence only; the complex-geometric degree and genus statements are
     not theorems over F_q, so misses downgrade to warnings, never failures.
     """
-    if d != 11:
-        raise ValueError("curve window is calibrated for d = 11 only")
     genus = 26
     spread = int(2 * genus * q ** 0.5) + 1
     return (max(0, q + 1 - spread), q + 1 + spread)
 
 
-def hypersurface_window_d2(q: int, c: int = 1) -> tuple[int, int]:
-    """Heuristic sextic-threefold window: q^3+q^2+q+1 +/- c * 6 q^2 sqrt(q)."""
+def hypersurface_window_d2(q: int) -> tuple[int, int]:
+    """Heuristic sextic-threefold window: q^3+q^2+q+1 +/- 6 q^2 sqrt(q)."""
     center = q ** 3 + q ** 2 + q + 1
-    spread = int(c * 6 * q * q * q ** 0.5) + 1
+    spread = int(6 * q * q * q ** 0.5) + 1
     return (max(0, center - spread), center + spread)

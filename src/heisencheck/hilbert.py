@@ -235,24 +235,6 @@ def graded_hilbert(
     return values
 
 
-def flatness_evidence(
-    family_sampler,
-    samples,
-    t_max: int,
-    primes: tuple[int, int] = RANK_PRIMES,
-) -> tuple[bool, dict]:
-    """Degree-by-degree Hilbert agreement across sampled family members."""
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    profiles = {}
-    for lam, mu in samples:
-        gens = family_sampler(lam, mu)
-        profiles[f"{lam}:{mu}"] = graded_hilbert(gens, 9, t_max, primes)
-    reference = next(iter(profiles.values()))
-    flat = all(p == reference for p in profiles.values())
-    return flat, profiles
-
-
 def abelian_surface_profile(t_max: int) -> list[int]:
     """1, then 9 t^2: the Hilbert polynomial of a degree-18 surface in P^8."""
     return [1] + [9 * t * t for t in range(1, t_max + 1)]

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exactnum import check_modulus
+
 
 def rank_fraction(rows: list[list[Fraction]]) -> int:
     """Rank over Q by Gaussian elimination on Fraction entries."""
@@ -78,26 +80,20 @@ def _peel_singletons(A: np.ndarray) -> tuple[int, np.ndarray]:
     return len(peeled), A[np.ix_(np.flatnonzero(live), np.flatnonzero(count))]
 
 
-def _check_modulus(p: int) -> None:
-    """Reject a p whose residues' products could leave int64."""
-    if not 2 <= p < 2 ** 31:
-        raise ValueError(f"modular rank needs 2 <= p < 2^31, got p = {p}")
-
-
 def rank_mod(matrix: np.ndarray, p: int) -> int:
-    """Rank over F_p for a prime p with 2 <= p < 2^31.
+    """Rank over F_p; a p that fails exactnum.check_modulus (a prime below
+    2^31) raises ValueError.
 
     Entries are reduced into [0, p), so every product of two of them stays
-    below p^2 < 2^62 and no intermediate overflows int64; a larger p raises
-    ValueError.  Singleton columns of A mod p are peeled first: a column
-    with one nonzero, in row i, makes row i independent of the others, so
-    rank = 1 + the rank without row i, repeated in O(nnz) until no column
-    has one nonzero (an entry that is a multiple of p counts as zero).  On
-    the rows and columns left, each pivot updates only the rows below it
-    with a nonzero in the pivot column, a small share on sparse Macaulay
-    matrices.
+    below p^2 < 2^62 and no intermediate overflows int64.  Singleton
+    columns of A mod p are peeled first: a column with one nonzero, in
+    row i, makes row i independent of the others, so rank = 1 + the rank
+    without row i, repeated in O(nnz) until no column has one nonzero (an
+    entry that is a multiple of p counts as zero).  On the rows and
+    columns left, each pivot updates only the rows below it with a nonzero
+    in the pivot column, a small share on sparse Macaulay matrices.
     """
-    _check_modulus(p)
+    check_modulus(p)
     peeled, A = _peel_singletons(np.asarray(matrix, dtype=np.int64) % p)
     rows, cols = A.shape
     r = 0
@@ -126,10 +122,11 @@ def rank_gauss_mod(stack: np.ndarray, p: int) -> np.ndarray:
 
     All are eliminated at once, a column c at a time: each matrix pivots on
     its first row r not yet pivoted on with a_rc != 0, and every row i
-    becomes a_rc row_i - a_ic row_r.  As in rank_mod, 2 <= p < 2^31 and
-    entries stay in [0, p), so no product leaves int64.
+    becomes a_rc row_i - a_ic row_r.  As in rank_mod, a p that fails
+    exactnum.check_modulus raises ValueError, and entries stay in [0, p),
+    so no product leaves int64.
     """
-    _check_modulus(p)
+    check_modulus(p)
     A = np.asarray(stack, dtype=np.int64) % p
     n, rows, cols = A.shape
     free = np.ones((n, rows), dtype=bool)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from heisencheck import cli, hilbert
+from heisencheck import checks, cli, hilbert
 from heisencheck.checks import (
     CheckReport,
     RunConfig,
@@ -55,6 +55,8 @@ def test_config_rejects_unscannable_prime(field, q):
     ("rank_primes", (1073741789, 2147483659), "too large"),
     ("jacobian_primes", (), "at least one odd prime"),
     ("jacobian_primes", (3, 2147483659), "too large"),
+    # 1000000007 * 1000000009: trial division would run to 10^9 before the bound
+    ("jacobian_primes", (3, 1000000016000000063), "too large"),
 ])
 def test_config_rejects_bad_primes(field, value, message):
     with pytest.raises(ValueError, match=f"{field}: .*{message}"):
@@ -63,13 +65,13 @@ def test_config_rejects_bad_primes(field, value, message):
 
 def test_flatness_runs_with_the_configured_rank_primes(monkeypatch):
     seen = []
-    graded = hilbert.graded_hilbert
+    graded = checks.graded_hilbert
 
     def spy(generators, nvars, t_max, primes=hilbert.RANK_PRIMES):
         seen.append(primes)
         return graded(generators, nvars, t_max, primes)
 
-    monkeypatch.setattr(hilbert, "graded_hilbert", spy)
+    monkeypatch.setattr(checks, "graded_hilbert", spy)
     config = RunConfig(t_max=3, rank_primes=(1000003, 999983))
     status, details = check_hilbert_flatness(RunContext(config))
     assert status == "pass"

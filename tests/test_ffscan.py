@@ -139,6 +139,8 @@ def test_point_blocks_hold_whole_runs(ncoords, q, data):
     blocks = list(point_blocks(ncoords, q, block_size))
     assert np.array_equal(np.concatenate(blocks), canonical_points(ncoords, q))
     assert all(0 < len(block) <= block_size for block in blocks)
+    # the kernel block test takes its blocks at these boundaries
+    assert np.diff(_block_edges(ncoords, q, block_size)).tolist() == [len(b) for b in blocks]
     # a run is the rows that share every coordinate but the last, and each
     # prefix occurs in one run only, so no run spans a block boundary; runs
     # longer than a block are split
@@ -247,6 +249,25 @@ def test_evaluate_poly_batch_stays_inside_int64(q):
         values = evaluate_poly_batch(f, X, q)
         assert values.dtype == np.int64
         assert values.tolist() == [evaluate_mod(f, row, q) for row in X]
+
+
+# each gave a wrong answer before it was rejected: at q = 1099511627791
+# x0 x1 at x0 = x1 = 2^39 + 7 overflowed int64 (1099511627735, not
+# 274877906948), and mod 9 Fermat's rule inverted 2 to 4, so (1/2) x0 at 2 was 4
+@pytest.mark.parametrize("f,point,q,message", [
+    (SparsePoly.monomial(2, [0, 1]), [2 ** 39 + 7, 2 ** 39 + 7], 1099511627791, "too large"),
+    (SparsePoly(1, {(1,): Fraction(1, 2)}), [2], 9, "not prime")])
+def test_evaluate_poly_batch_rejects_unusable_moduli(f, point, q, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate_poly_batch(f, np.array([point], dtype=np.int64), q)
+
+
+# 703 = 19 * 37 is 1 mod 9, so Z/703 has roots of unity of order 9;
+# 2147484007 is the smallest census prime for d = 9 above 2^31
+@pytest.mark.parametrize("q,message", [(703, "not prime"), (2147484007, "too large")])
+def test_special_points_d9_mod_reject_unusable_fields(q, message):
+    with pytest.raises(ValueError, match=message):
+        special_points_d9_mod(q)
 
 
 def test_census_d9_larger_prime():
@@ -468,21 +489,37 @@ def _assert_exact_ranks(d, q, pts):
     assert (ranks[sample] == rank_at_point(d, q, pts[sample])).all()
 
 
+def _block_edges(ncoords, q, block_size):
+    """Row of canonical_points where each block of point_blocks starts, then
+    the number of points: block i is rows edges[i] to edges[i + 1]."""
+    starts, offset = [], 0
+    for lead in range(ncoords):
+        total = q ** (ncoords - lead - 1)
+        run = q if lead < ncoords - 1 else 1
+        starts.append(np.arange(offset, offset + total, block_size // run * run or block_size))
+        offset += total
+    return np.append(np.concatenate(starts), offset)
+
+
 @pytest.mark.parametrize("d,q", [(9, 19), (11, 23)])
 def test_kernel_on_whole_shuffled_and_cut_blocks(d, q):
     ncoords = (d - 1) // 2
+    pts = canonical_points(ncoords, q)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(st.integers(1, 3 * q * q), st.data())
     def run(block_size, data):
-        blocks = list(point_blocks(ncoords, q, block_size))
-        block = blocks[data.draw(st.integers(0, len(blocks) - 1))]
+        # the drawn block of point_blocks, taken from the enumeration at its
+        # boundaries (test_point_blocks_hold_whole_runs pins them) in its
+        # column-major layout, so the other blocks are never built
+        edges = _block_edges(ncoords, q, block_size)
+        i = data.draw(st.integers(0, len(edges) - 2))
+        block = np.asfortranarray(pts[edges[i]:edges[i + 1]])
         _assert_exact_ranks(d, q, block)
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         _assert_exact_ranks(d, q, block[np.random.default_rng(seed).permutation(len(block))])
         # cut inside two runs (every lead position but the last starts at a
         # multiple of q), keeping or breaking n % q == 0
-        pts = np.concatenate(blocks)
         begin = q * data.draw(st.integers(0, len(pts) // q - 1)) + data.draw(st.integers(1, q - 1))
         end = begin + q * data.draw(st.integers(1, 3 * q)) - data.draw(st.integers(0, 1))
         _assert_exact_ranks(d, q, pts[begin:end])

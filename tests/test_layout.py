@@ -1,13 +1,18 @@
-"""Product code that only tests call stays out of the package.
+"""Layout rules of the package.
 
-Every function, method and class defined in src/heisencheck must be
-referred to by code outside the tests (the package itself or perfbench/),
-or be listed in ALLOWED with the reason it stays.  References are matched
-by name, so the check can miss dead code whose name is reused elsewhere,
-but it never reports a name that is used.
+Product code that only tests call stays out of the package: every
+function, method and class defined in src/heisencheck must be referred to
+by code outside the tests (the package itself or perfbench/), or be listed
+in ALLOWED with the reason it stays.  References are matched by name, so
+the check can miss dead code whose name is reused elsewhere, but it never
+reports a name that is used.
+
+The modulus rule of the F_q kernels (a prime below 2^31) has one owner,
+exactnum.check_modulus.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +79,10 @@ def test_no_product_code_is_only_called_by_tests():
     referenced = _referenced()
     unused = {name for name in _definitions() if name.rsplit(".", 1)[-1] not in referenced}
     assert unused == set(ALLOWED)
+
+
+def test_only_exactnum_encodes_the_modulus_bound():
+    bound = re.compile(r"\b2\s*\*\*\s*31\b|\b1\s*<<\s*31\b")
+    holders = {path.name for path in PACKAGE.glob("*.py")
+               if bound.search(path.read_text(encoding="utf-8"))}
+    assert holders == {"exactnum.py"}

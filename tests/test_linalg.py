@@ -74,7 +74,7 @@ def test_rank_mod_at_the_largest_prime():
     assert rank_gauss_mod(stack, p).tolist() == [1, 5]
 
 
-@pytest.mark.parametrize("p", [1, 0, -7, 2 ** 31, 2 ** 31 + 11])
+@pytest.mark.parametrize("p", [1, 0, -7, 6, 9, 2 ** 31, 2 ** 31 + 11])
 def test_rank_mod_rejects_moduli_outside_the_int64_bound(p):
     with pytest.raises(ValueError, match="2\\^31"):
         rank_mod(np.eye(3, dtype=np.int64), p)
