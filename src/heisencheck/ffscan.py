@@ -3,13 +3,27 @@
 Two enumerators share the scan order of canonical points (leading
 coordinate 1, the coordinates before it 0, the rest lexicographic).
 
-The rank census enumerates every point by brute force.  Strata of the
-skew quadric matrix are classified through Pfaffian vanishing (for an
-alternating matrix, rank < 2k+2 exactly when all (2k+2)-Pfaffians vanish),
-evaluated as vectorized arithmetic over a block of canonical points at
-once.  Each scan keeps every step-th point with its rank and re-ranks
-them all at the end by exact elimination on the evaluated entries, apart
-from the kernel's entry gather.
+The rank census ranks one point per orbit of a torus.  The element
+t: x_k -> xi^(k^2) x_k of the Heisenberg normalizer (xi of order d)
+carries the quadric matrix to S(t x) = D S(x) D with D = diag(xi^(2i^2)),
+so rank is constant on its orbits.  For d = 11 every weight difference
+k^2 - l^2 is a unit mod 11, so t moves the first nonzero free coordinate of
+a canonical point through its whole coset of mu_11 and fixes only the
+coordinate points: the census enumerates every point of P^4 but ranks
+only those whose first nonzero free coordinate is the least element of its
+coset, an eleventh of them, and counts each for 11.  For d = 9 some orbits
+have 3 points, and every point is ranked.  The tests keep the full scan as
+the oracle.
+
+Strata of the skew quadric matrix are classified through Pfaffian
+vanishing (for an alternating matrix, rank < 2k+2 exactly when all
+(2k+2)-Pfaffians vanish), evaluated as vectorized arithmetic over a block
+of points at once.  Each census keeps every step-th point it ranks,
+moves point i by t^(i mod h), and re-ranks them all at the end in one call,
+by exact elimination on the evaluated entries, apart from the kernel's
+entry gather; so one call checks the kernel and the invariance together.
+The minimal stratum is rebuilt from the orbits of its representatives,
+re-ranked by the kernel and sorted into scan order.
 
 For d = 11 the rank-4 locus is cut out by one polynomial, the sextic
 Pfaffian, so the kernel decides the top rank from a single leading
@@ -23,9 +37,12 @@ pieces of one run when q exceeds the block size, and fills each column by
 broadcasting, never by dividing the point index: the last coordinate is a
 tiled 0, ..., q-1 (a run split across blocks is filled like any other
 digit) and a coordinate that changes every s rows is a (rows/s, s) view
-assigned its digits.  The kernel tests once per block, with one compare of
-the prefix columns read as a (runs, q, m-1) view, whether the rows are
-whole runs.  If so it evaluates the coefficients once per run, at its
+assigned its digits.  The census takes the representatives from each
+block as views of its contiguous stretches of whole runs, apart from each
+lead's head (the points whose only nonzero free coordinate is the last),
+a partial run filtered row by row.  The kernel tests once per call, with
+one compare of the prefix columns read as a (runs, q, m-1) view, whether
+the rows are whole runs.  If so it evaluates the coefficients once per run, at its
 first row; if not, at every row.  Either way it finishes every point by
 Horner's rule in int64, so any rows in any order get exact values.
 
@@ -55,6 +72,7 @@ alive per stage instead of q^4 points overall.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -107,11 +125,11 @@ def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
     """Canonical points of P^(ncoords-1)(F_q) in scan order, in blocks.
 
     Scan order: by position of the leading 1, then lexicographically in
-    the free coordinates.  No block holds more than block_size rows.  A run
-    (the rows that agree in every coordinate but the last) is split only
-    when q > block_size; otherwise every block holds whole runs.  Block
-    boundaries never change the enumeration, so partitioned runs merge to
-    identical censuses.
+    the free coordinates.  No block holds more than block_size rows, nor
+    rows of two leading positions.  A run (the rows that agree in every
+    coordinate but the last) is split only when q > block_size; otherwise
+    every block holds whole runs.  Block boundaries never change the
+    enumeration, so partitioned runs merge to identical censuses.
     """
     ramp = np.arange(q, dtype=np.int64)
     for lead in range(ncoords):
@@ -143,7 +161,8 @@ def _fill_digit(column: np.ndarray, start: int, s: int, q: int) -> None:
     first = -(-start // s)
     segments = (column.shape[0] - head) // s
     end = head + segments * s
-    column[head:end].reshape(segments, s)[:] = ((first + np.arange(segments)) % q)[:, None]
+    if segments:  # a (0, s) view cannot be made for s beyond int64
+        column[head:end].reshape(segments, s)[:] = ((first + np.arange(segments)) % q)[:, None]
     column[end:] = (first + segments) % q
 
 
@@ -384,10 +403,122 @@ def rank_at_point(d: int, q: int, points: np.ndarray) -> np.ndarray:
     return rank_gauss_mod(evaluate_skew_mod(s_matrix(d), points, q), q)
 
 
+def torus_weights(d: int) -> tuple[int, ...]:
+    """Weights of the torus element t: x_k -> xi^(k^2) x_k, k = 1..(d-1)/2.
+
+    Entry (i, j) of s_matrix(d) is +/-x_(j-i) x_(j+i), of weight
+    (j-i)^2 + (j+i)^2 = 2i^2 + 2j^2, so S(t x) = D S(x) D with
+    D = diag(xi^(2i^2)) and rank is constant on the orbits of t.
+    """
+    return tuple(k * k % d for k in range(1, (d + 1) // 2))
+
+
+def torus_order(d: int) -> int:
+    """The orbit size h the census divides by: d when every weight
+    difference is a unit mod d, 1 otherwise.
+
+    For such d, xi^(j (w_k - w_l)) = 1 forces j = 0 mod d, so every point
+    with two nonzero coordinates has an orbit of exactly d points; the
+    coordinate points are fixed.  For d = 9 the weights 1, 4, 0, 7 differ
+    by 3 and some orbits have size 3, so nothing is divided.
+    """
+    weights = torus_weights(d)
+    free = all(math.gcd(a - b, d) == 1 for a, b in combinations(weights, 2))
+    return d if free else 1
+
+
+def coset_representatives(h: int, q: int) -> np.ndarray | None:
+    """The least element of each coset of mu_h in F_q^*, ascending, or None
+    (all of F_q^*) for h = 1.  There are (q-1)/h of them."""
+    if h == 1:
+        return None
+    xi = nth_root_in_prime_field(h, q)
+    x = np.arange(1, q, dtype=np.int64)
+    least = np.ones(q - 1, dtype=bool)
+    for j in range(1, h):
+        least &= x < x * pow(xi, j, q) % q
+    return x[least]
+
+
+def _least_table(h: int, q: int) -> np.ndarray | None:
+    """least[v] for v in F_q: v is a least coset representative of mu_h
+    (never v = 0), or None for h = 1."""
+    reps = coset_representatives(h, q)
+    if reps is None:
+        return None
+    least = np.zeros(q, dtype=bool)
+    least[reps] = True
+    return least
+
+
+def _first_nonzero(cols: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row, or 0 in a zero row."""
+    first = np.zeros(cols.shape[0], dtype=np.int64)
+    for c in range(cols.shape[1] - 1, -1, -1):
+        first = np.where(cols[:, c] != 0, cols[:, c], first)
+    return first
+
+
+def _orbit_representatives(block: np.ndarray, least: np.ndarray | None, q: int):
+    """The rows of a point_blocks block that the census ranks, in pieces,
+    in scan order: the whole block when least is None; otherwise the
+    coordinate point and the rows whose first nonzero free coordinate v
+    has least[v].
+
+    A block of a multiple of q rows is whole runs (point_blocks splits a
+    run only when q > block_size), and every run but the lead's head (the
+    rows whose only nonzero free coordinate is the last, which come first)
+    is taken or left by its prefix.  The head is filtered row by row into
+    a piece of its own; the runs taken come as views of their contiguous
+    stretches, so the kernel still evaluates once per run and nothing the
+    size of the block is copied.
+    """
+    n, m = block.shape
+    lead = int(np.argmax(block[0] != 0))
+    if least is None or lead == m - 1:
+        yield block
+        return
+    run = q if n % q == 0 else 1
+    first = _first_nonzero(block[::run, lead + 1:-1])
+    head = run * int(np.count_nonzero(first == 0))
+    if head:
+        last = block[:head, -1]
+        yield block[:head][(last == 0) | least[last]]
+    edges = np.flatnonzero(np.diff(least[first].view(np.int8), prepend=0, append=0))
+    for start, stop in zip(edges[::2], edges[1::2]):
+        yield block[start * run:stop * run]
+
+
+def _torus_powers(d: int, h: int, q: int) -> np.ndarray:
+    """Row j scales coordinate k by xi^(j w_k) mod q: the action of t^j."""
+    xi = nth_root_in_prime_field(h, q)
+    return np.array([[pow(xi, j * w, q) for w in torus_weights(d)] for j in range(h)],
+                    dtype=np.int64)
+
+
+def _scan_key(point: tuple[int, ...]):
+    """Scan order of canonical points: leading position, then coordinates."""
+    return next(i for i, c in enumerate(point) if c), point
+
+
 def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
+    """Rank census of s_matrix(d) over P^((d-3)/2)(F_q).
+
+    Every canonical point is enumerated, and one representative per
+    orbit of the torus t (torus_order(d) points) is ranked and counted for
+    its whole orbit: a coordinate point is fixed, and every other orbit
+    meets the canonical points whose first nonzero free coordinate is a
+    least coset representative of mu_h once.
+    Every step-th representative i, moved by t^(i mod h), is re-ranked by
+    elimination in one call, and the minimal stratum is rebuilt from its
+    representatives' orbits, re-ranked by the kernel and sorted into scan
+    order.
+    """
     check_scan_prime(d, q)
     ncoords = (d - 1) // 2
-    total = projective_point_count(ncoords, q)
+    h = torus_order(d)
+    powers = _torus_powers(d, h, q)
+    total = ncoords + (projective_point_count(ncoords, q) - ncoords) // h
     step = max(1, total // CROSS_CHECK_SAMPLES)  # global, partition-independent
 
     possible = [0, 2, 4] + ([6] if d == 11 else [])
@@ -395,43 +526,67 @@ def scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
     # the minimal stratum is tiny (the census contract reports its points);
     # higher strata grow like q^3 and only their counts are kept
     collected: dict[int, list] = {0: [], 2: []}
-    # every step-th point in scan order, its kernel rank in the last column
+    # every step-th representative in scan order, its kernel rank in the
+    # last column
     samples = np.empty((-(-total // step), ncoords + 1), dtype=np.int64)
     top = possible[-1]
     offset = sampled = 0
-    for pts in point_blocks(ncoords, q, block_size):
-        ranks = _batch_ranks(d, q, pts)
-        # counts and points come from the few rows below the top rank
-        below = np.flatnonzero(ranks < top)
-        low = ranks[below]
-        by_rank = np.bincount(low, minlength=top)
-        counts[top] += pts.shape[0] - below.size
-        for r in possible[:-1]:
-            counts[r] += int(by_rank[r])
-        for r in collected:
-            for row in pts[below[low == r]]:
-                collected[r].append(tuple(int(c) for c in row))
-        picked = slice((-offset) % step, None, step)
-        filled = sampled + len(ranks[picked])
-        samples[sampled:filled, :-1] = pts[picked]
-        samples[sampled:filled, -1] = ranks[picked]
-        sampled = filled
-        offset += pts.shape[0]
+    least = _least_table(h, q)
+    for block in point_blocks(ncoords, q, block_size):
+        for pts in _orbit_representatives(block, least, q):
+            ranks = _batch_ranks(d, q, pts)
+            # counts and points come from the few rows below the top rank,
+            # among them the coordinate points (rank 2), each its own orbit
+            below = np.flatnonzero(ranks < top)
+            low = ranks[below]
+            fixed = np.count_nonzero(pts[below], axis=1) == 1
+            by_rank = (h * np.bincount(low, minlength=top)
+                       - (h - 1) * np.bincount(low[fixed], minlength=top))
+            counts[top] += h * (pts.shape[0] - below.size)
+            for r in possible[:-1]:
+                counts[r] += int(by_rank[r])
+            for r in collected:
+                for row in pts[below[low == r]]:
+                    collected[r].append(tuple(int(c) for c in row))
+            picked = slice((-offset) % step, None, step)
+            filled = sampled + len(ranks[picked])
+            samples[sampled:filled, :-1] = pts[picked]
+            samples[sampled:filled, -1] = ranks[picked]
+            sampled = filled
+            offset += pts.shape[0]
+            del pts  # a view of the block
         # free the block before point_blocks builds the next one
-        del pts
+        del block
 
     assert offset == total and sampled == samples.shape[0]
-    wrong = np.flatnonzero(rank_at_point(d, q, samples[:, :-1]) != samples[:, -1])
+    # rank ignores scaling, so the moved samples need no normalizing
+    moved = samples[:, :-1] * powers[np.arange(sampled) % h] % q
+    wrong = np.flatnonzero(rank_at_point(d, q, moved) != samples[:, -1])
     if wrong.size:
-        point = tuple(int(c) for c in samples[wrong[0], :-1])
+        i = wrong[0]
+        point = tuple(int(c) for c in samples[i, :-1])
         raise AssertionError(
-            f"Pfaffian stratification disagrees with elimination at point {point}")
+            f"Pfaffian stratification disagrees with elimination at point {point} "
+            f"moved by t^{i % h} to {tuple(int(c) for c in moved[i])}")
     # at a coordinate point e_k the only nonzero upper entry is
     # a_(0,k+1) = x_k^2, so rank 2 occurs over every F_q and the minimal
     # stratum is always one of the collected ranks
     min_rank = min(r for r in possible if counts[r])
-    return StratumCensus(d=d, q=q, counts=counts, min_rank=min_rank,
-                         min_rank_points=tuple(collected[min_rank]))
+    points = _orbit_points(np.array(collected[min_rank], dtype=np.int64), powers, q)
+    if len(points) != counts[min_rank] or (_batch_ranks(d, q, np.array(points)) != min_rank).any():
+        raise AssertionError(f"the torus orbits of the rank-{min_rank} points are not the "
+                             f"{counts[min_rank]} rank-{min_rank} points")
+    return StratumCensus(d=d, q=q, counts=counts, min_rank=min_rank, min_rank_points=points)
+
+
+def _orbit_points(reps: np.ndarray, powers: np.ndarray, q: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical points of the torus orbits of canonical reps, in scan order."""
+    lead = np.argmax(reps != 0, axis=1)
+    # t^j moves the leading 1 to xi^(j w_lead); t^-j is row -j of powers
+    inverse = powers[-np.arange(len(powers)) % len(powers)][:, lead].T
+    orbit = reps[:, None, :] * powers % q * inverse[:, :, None] % q
+    return tuple(sorted({tuple(int(c) for c in row) for row in orbit.reshape(-1, reps.shape[1])},
+                        key=_scan_key))
 
 
 def find_stratum_point(d: int, q: int, target_rank: int) -> tuple[int, ...] | None:

@@ -8,8 +8,16 @@ from operator import mul
 
 import numpy as np
 
-from heisencheck.exactnum import cyclotomic_polynomial, euler_phi
-from heisencheck.ffscan import evaluate_poly_batch, projective_point_count
+from heisencheck.exactnum import cyclotomic_polynomial, euler_phi, prime_factors
+from heisencheck.ffscan import (
+    SCAN_BLOCK,
+    StratumCensus,
+    _batch_ranks,
+    check_scan_prime,
+    evaluate_poly_batch,
+    point_blocks,
+    projective_point_count,
+)
 from heisencheck.heisenberg import s_matrix
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
@@ -179,6 +187,30 @@ def scan_common_zeros(polys: list[SparsePoly], ncoords: int, q: int) -> np.ndarr
     return pts[mask]
 
 
+# -- the slow path behind ffscan.scan_strata: every canonical point ranked ----
+
+
+def full_scan_strata(d: int, q: int, block_size: int = SCAN_BLOCK) -> StratumCensus:
+    """The census without the torus quotient, the slow path behind
+    ffscan.scan_strata: every block of point_blocks and the same kernel,
+    every canonical point counted once and the minimal stratum collected
+    in scan order."""
+    check_scan_prime(d, q)
+    possible = [0, 2, 4] + ([6] if d == 11 else [])
+    counts = dict.fromkeys(possible, 0)
+    collected: dict[int, list] = {0: [], 2: []}
+    for pts in point_blocks((d - 1) // 2, q, block_size):
+        ranks = _batch_ranks(d, q, pts)
+        by_rank = np.bincount(ranks, minlength=possible[-1] + 1)
+        for r in possible:
+            counts[r] += int(by_rank[r])
+        for r in collected:
+            collected[r].extend(tuple(int(c) for c in row) for row in pts[ranks == r])
+    min_rank = min(r for r in possible if counts[r])
+    return StratumCensus(d=d, q=q, counts=counts, min_rank=min_rank,
+                         min_rank_points=tuple(collected[min_rank]))
+
+
 # -- the per-point paths behind ffscan.rank_at_point ----------------------------
 
 
@@ -262,6 +294,22 @@ def closed_form_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     ranks[low] = 2
     ranks[low & np.logical_and.reduce([v == 0 for v in val.values()])] = 0
     return ranks
+
+
+# -- the slow path behind exactnum.nth_root_in_prime_field ---------------------
+
+
+def search_nth_root(n: int, q: int) -> int:
+    """Smallest element of F_q of exact order n, testing g = 2, 3, ... in turn."""
+    if n == 1:
+        return 1
+    if (q - 1) % n != 0:
+        raise ValueError(f"{n} does not divide {q}-1")
+    primes = prime_factors(n)
+    for g in range(2, q):
+        if pow(g, n, q) == 1 and all(pow(g, n // r, q) != 1 for r in primes):
+            return g
+    raise ValueError(f"no element of order {n} in F_{q}")
 
 
 # -- the slow path behind mpoly.graded_monomials --------------------------------

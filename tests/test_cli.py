@@ -14,6 +14,8 @@ from heisencheck.checks import (
     run_suite,
 )
 from heisencheck.cli import main, render_report
+from heisencheck.ffscan import census_csv
+from oracles import full_scan_strata
 
 
 def strip_elapsed(text: str) -> list:
@@ -281,6 +283,14 @@ def test_scan_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "19,9,2,40" in out
     assert main(["scan", "--d", "9", "--prime", "23"]) == 2
+
+
+def test_scan_d11_prints_the_full_scan_census(capsys):
+    # the quotient census behind scan gives the counts of ranking every point
+    assert main(["scan", "--d", "11", "--prime", "67"]) == 0
+    out = capsys.readouterr().out
+    full = full_scan_strata(11, 67)
+    assert out == census_csv([full]) + "minimal stratum: rank 2 with 60 points\n"
 
 
 def test_hilbert_subcommand(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,12 @@ from heisencheck.exactnum import (
     embed,
     euler_phi,
     fraction_mod,
+    is_prime,
     legendre_symbol,
     nth_root_in_prime_field,
     quadratic_gauss_sum,
 )
-from oracles import FractionCyclo
+from oracles import FractionCyclo, search_nth_root
 
 
 def test_cyclotomic_polynomials():
@@ -152,6 +154,26 @@ def test_nth_root_exhaustive_oracle(n, q):
     brute = next(g for g in range(1, q) if order(g) == n)
     assert found == brute
     assert order(found) == n
+
+
+def test_nth_root_matches_the_search_at_every_small_prime():
+    # the least power xi^k, gcd(k, n) = 1, of one element of order n is the
+    # least element of order n, which the search finds by testing g = 2, 3, ...
+    for n in (3, 5, 9, 11, 33, 44, 59, 660):
+        for q in range(n + 1, 5000, n):
+            if is_prime(q):
+                assert nth_root_in_prime_field(n, q) == search_nth_root(n, q), (n, q)
+
+
+def test_nth_root_at_the_largest_modulus_returns_at_once():
+    # the search would test about q/11 = 2e8 candidates here
+    q = 2 ** 31 - 1
+    assert (q - 1) % 11 == 0
+    start = time.perf_counter()
+    xi = nth_root_in_prime_field(11, q)
+    assert time.perf_counter() - start < 1.0
+    assert xi != 1 and pow(xi, 11, q) == 1
+    assert xi == min(pow(xi, k, q) for k in range(1, 11))
 
 
 def test_legendre_symbol():

@@ -13,6 +13,7 @@ from heisencheck.ffscan import (
     _entry_gather,
     _horner,
     _leading_pfaffian_values,
+    _orbit_representatives,
     _reduce,
     DEFAULT_BLOCK,
     SCAN_BLOCK,
@@ -21,6 +22,7 @@ from heisencheck.ffscan import (
     ci_curve_points_d9,
     common_zeros,
     evaluate_poly_batch,
+    evaluate_skew_mod,
     find_stratum_point,
     jacobian_zero_counts,
     point_blocks,
@@ -32,7 +34,15 @@ from heisencheck.ffscan import (
 from heisencheck.grassfano import jacobian_quadrics, klein_cubic
 from heisencheck.heisenberg import s_matrix
 from heisencheck.mpoly import SparsePoly, graded_monomials
-from oracles import canonical_points, closed_form_ranks, evaluate_mod, scan_common_zeros
+from heisencheck.exactnum import is_prime
+from oracles import (
+    canonical_points,
+    closed_form_ranks,
+    evaluate_mod,
+    full_scan_strata,
+    scan_common_zeros,
+    search_nth_root,
+)
 
 # the largest q the census accepts, 2^31 - 1, and the largest q the
 # closed-form oracle accepts, 5 (q-1)^2 < 2^63
@@ -160,6 +170,21 @@ def test_point_blocks_split_runs_longer_than_a_block():
     expected[:, 0] = 1
     expected[:, 3], expected[:, 4] = np.divmod(index, q)
     assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def test_point_blocks_beyond_int64_strides():
+    # at q = 2097169, the least prime above 2^21, the first free coordinate
+    # changes every q^3 > 2^63 rows, a stride no (0, q^3) view can hold
+    q = 2097169
+    first = next(point_blocks(5, q, block_size=1000))
+    expected = np.zeros((1000, 5), dtype=np.int64)
+    expected[:, 0] = 1
+    expected[:, 4] = np.arange(1000)
+    assert np.array_equal(first, expected)
+    for s in (q ** 3, q ** 4):
+        column = np.empty(10, dtype=np.int64)
+        ffscan._fill_digit(column, 5 * s - 3, s, q)
+        assert column.tolist() == [4] * 3 + [5] * 7
 
 
 @pytest.mark.parametrize("ncoords,q,block_size", [(3, 23, 7), (4, 19, 5), (5, 23, 7), (2, 5, 1)])
@@ -596,10 +621,44 @@ def test_d11_counts_are_consistent():
     assert census.counts[2] == len(census.min_rank_points)
 
 
+def _least_coset_representatives(h: int, q: int) -> list[int]:
+    """The least element of each coset of mu_h in F_q^*, by brute force."""
+    roots = [pow(search_nth_root(h, q), j, q) for j in range(h)]
+    return sorted({min(x * r % q for r in roots) for x in range(1, q)})
+
+
+def _first_free(pts: np.ndarray) -> np.ndarray:
+    """The first nonzero coordinate after the leading one of each row, or 0
+    at a coordinate point."""
+    lead = np.argmax(pts != 0, axis=1)
+    free = (pts != 0) & (np.arange(pts.shape[1]) > lead[:, None])
+    return pts[np.arange(len(pts)), np.argmax(free, axis=1)] * free.any(axis=1)
+
+
+def _representatives(d: int, q: int) -> np.ndarray:
+    """The canonical points the quotient census ranks, in scan order: the
+    coordinate points and those whose first nonzero free coordinate is a
+    least coset representative of mu_11 (all of F_q^* for d = 9)."""
+    pts = canonical_points((d - 1) // 2, q)
+    if d == 9:
+        return pts
+    keep = np.zeros(q, dtype=bool)
+    keep[[0] + _least_coset_representatives(11, q)] = True
+    return pts[keep[_first_free(pts)]]
+
+
+def _torus_images(d: int, q: int, pts: np.ndarray, j: int) -> np.ndarray:
+    """t^j x, x_k -> xi^(j k^2) x_k, xi the least element of order d."""
+    xi = search_nth_root(d, q)
+    return pts * np.array([pow(xi, j * k * k, q) for k in range(1, pts.shape[1] + 1)]) % q
+
+
 @pytest.mark.parametrize("d,q,block_size,samples", [(9, 19, 1000, 518),
-                                                     (11, 23, SCAN_BLOCK, 513)])
+                                                     (11, 23, SCAN_BLOCK, 522)])
 def test_scan_cross_checks_every_step_th_point_in_one_call(d, q, block_size, samples,
                                                           monkeypatch):
+    # every step-th representative i, moved by t^(i mod h): h = 11 for
+    # d = 11, and h = 1 (every point unmoved) for d = 9
     calls = []
 
     def spy(d, q, points):
@@ -608,26 +667,123 @@ def test_scan_cross_checks_every_step_th_point_in_one_call(d, q, block_size, sam
 
     monkeypatch.setattr(ffscan, "rank_at_point", spy)
     scan_strata(d, q, block_size)
-    pts = canonical_points((d - 1) // 2, q)
+    reps = _representatives(d, q)
+    picked = reps[::reps.shape[0] // ffscan.CROSS_CHECK_SAMPLES]
+    h = {9: 1, 11: 11}[d]
+    moved = [_torus_images(d, q, row[None], i % h)[0] for i, row in enumerate(picked)]
     assert len(calls) == 1
-    assert np.array_equal(calls[0], pts[::pts.shape[0] // ffscan.CROSS_CHECK_SAMPLES])
+    assert np.array_equal(calls[0], moved)
     assert calls[0].shape[0] == samples
 
 
 def test_cross_check_catches_a_wrong_kernel_rank(monkeypatch):
-    pts = canonical_points(4, 19)
-    bad = tuple(int(c) for c in pts[200 * (pts.shape[0] // ffscan.CROSS_CHECK_SAMPLES)])
     batch_ranks = ffscan._batch_ranks
+    for d, q, block_size in ((9, 19, 1000), (11, 23, SCAN_BLOCK)):
+        reps = _representatives(d, q)
+        bad = tuple(int(c) for c in reps[200 * (reps.shape[0] // ffscan.CROSS_CHECK_SAMPLES)])
 
-    def broken(d, q, block):
-        ranks = batch_ranks(d, q, block)
-        hit = (block == bad).all(axis=1)
-        ranks[hit] = 6 - ranks[hit]  # rank 4 reads 2 and rank 2 reads 4
-        return ranks
+        def broken(d, q, block, bad=bad):
+            ranks = batch_ranks(d, q, block)
+            hit = (block == bad).all(axis=1)
+            ranks[hit] = 6 - ranks[hit]  # rank 4 reads 2 and rank 2 reads 4
+            return ranks
 
-    monkeypatch.setattr(ffscan, "_batch_ranks", broken)
-    with pytest.raises(AssertionError, match=re.escape(f"at point {bad}")):
-        scan_strata(9, 19, block_size=1000)
+        monkeypatch.setattr(ffscan, "_batch_ranks", broken)
+        with pytest.raises(AssertionError, match=re.escape(f"at point {bad}")):
+            scan_strata(d, q, block_size=block_size)
+
+
+def test_census_raises_on_a_wrong_torus_weight(monkeypatch):
+    # x_k -> xi^k x_k keeps the weight differences units mod 11, so the
+    # representatives and the orbit size are unchanged, but rank is not
+    # constant on its orbits; the moved cross-check samples catch it
+    monkeypatch.setattr(ffscan, "torus_weights", lambda d: tuple(range(1, (d + 1) // 2)))
+    assert ffscan.torus_order(11) == 11
+    with pytest.raises(AssertionError, match="disagrees with elimination"):
+        scan_strata(11, 23)
+
+
+@pytest.mark.parametrize("d,q", [(9, 19), (11, 23), (9, 37), (11, 67)])
+def test_quotient_census_matches_the_full_scan(d, q):
+    census, full = scan_strata(d, q), full_scan_strata(d, q)
+    assert census.counts == full.counts
+    assert census.min_rank == full.min_rank
+    assert census.min_rank_points == full.min_rank_points
+
+
+def test_torus_order_is_derived_from_the_weights():
+    assert ffscan.torus_weights(11) == (1, 4, 9, 5, 3)
+    assert ffscan.torus_weights(9) == (1, 4, 0, 7)
+    assert ffscan.torus_order(11) == 11
+    # 4 - 1 = 3 is no unit mod 9, so some orbits have size 3
+    assert ffscan.torus_order(9) == 1
+
+
+@pytest.mark.parametrize("d", [9, 11])
+def test_torus_carries_the_quadric_matrix_to_d_s_d(d):
+    # x_k -> xi^(k^2) x_k scales entry (i, j), +/-x_(j-i) x_(j+i), by
+    # xi^(2i^2 + 2j^2): S(t x) = D S(x) D with D = diag(xi^(2i^2))
+    matrix = s_matrix(d)
+    weights = [k * k for k in range(1, (d + 1) // 2)]
+    for (i, j), f in matrix.upper.items():
+        (exps, _), = f.terms.items()
+        assert sum(e * w for e, w in zip(exps, weights)) % d == (2 * i * i + 2 * j * j) % d
+    # and mod q at every census prime below 100, at random points
+    for q in (p for p in range(d + 1, 100, d) if is_prime(p)):
+        xi = search_nth_root(d, q)
+        pts = np.random.default_rng(q).integers(0, q, (50, len(weights)))
+        diag = np.array([pow(xi, 2 * i * i, q) for i in range(matrix.size)])
+        moved = evaluate_skew_mod(matrix, _torus_images(d, q, pts, 1), q)
+        expected = diag[:, None] * evaluate_skew_mod(matrix, pts, q) % q * diag % q
+        assert np.array_equal(moved, expected)
+
+
+def test_every_orbit_meets_the_representatives_once():
+    # at (11, 23): of the 11 torus images of each canonical point that is
+    # not a coordinate point, exactly one has its first nonzero free
+    # coordinate among the least coset representatives of mu_11
+    q = 23
+    pts = canonical_points(5, q)
+    pts = pts[np.count_nonzero(pts, axis=1) > 1]
+    least = np.zeros(q, dtype=bool)
+    least[_least_coset_representatives(11, q)] = True
+    inverse = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)])
+    hits = np.zeros(len(pts), dtype=int)
+    for j in range(11):
+        images = _torus_images(11, q, pts, j)
+        lead = images[np.arange(len(images)), np.argmax(images != 0, axis=1)]
+        hits += least[_first_free(images * inverse[lead][:, None] % q)]
+    assert (hits == 1).all()
+    assert len(_representatives(11, q)) == 5 + len(pts) // 11
+
+
+@pytest.mark.parametrize("q", [23, 67, 89, 199])
+def test_coset_representatives_are_the_least_of_each_coset(q):
+    units = ffscan.coset_representatives(11, q)
+    assert units.tolist() == _least_coset_representatives(11, q)
+    assert len(units) == (q - 1) // 11
+    assert ffscan.coset_representatives(1, q) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_orbit_representatives_select_the_least_units(ncoords, q, data):
+    units = sorted(data.draw(st.sets(st.integers(1, q - 1), min_size=1)))
+    block_size = data.draw(st.integers(1, 3 * q * q))
+    least = np.zeros(q, dtype=bool)
+    least[units] = True
+    blocks = list(point_blocks(ncoords, q, block_size))
+    pieces = [piece for block in blocks for piece in _orbit_representatives(block, least, q)]
+    pts = canonical_points(ncoords, q)
+    keep = np.isin(_first_free(pts), [0] + units)
+    assert np.array_equal(np.concatenate(pieces), pts[keep])
+    # a piece without a coordinate point holds whole runs when q <= block_size
+    for piece in pieces:
+        if block_size >= q and (np.count_nonzero(piece, axis=1) > 1).all():
+            prefix = piece[:, :-1].reshape(-1, q, ncoords - 1)
+            assert (prefix == prefix[:, :1]).all()
+    # without a quotient every block is ranked whole
+    assert all(list(_orbit_representatives(block, None, q)) == [block] for block in blocks)
 
 
 def test_find_stratum_point():
