@@ -114,13 +114,28 @@ def character_table() -> CharacterTable:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes() -> tuple[frozenset, ...]:
-    """Partition of the group into the classes of the table representatives."""
-    G = enumerate_group()
+    """Partition of the group into the classes of the table representatives.
+
+    S and T generate the group, so each class is the orbit of its
+    representative under conjugation by S and T, found breadth-first.
+    """
     table = character_table()
+    conjugators = [(g, inverse(g)) for g in (GEN_S, GEN_T)]
     classes = []
     covered = 0
     for rep, size in zip(table.representatives, table.class_sizes):
-        orbit = frozenset(multiply(multiply(g, rep), inverse(g)) for g in G)
+        seen = {rep}
+        frontier = [rep]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for g, g_inv in conjugators:
+                    y = multiply(multiply(g, x), g_inv)
+                    if y not in seen:
+                        seen.add(y)
+                        fresh.append(y)
+            frontier = fresh
+        orbit = frozenset(seen)
         if len(orbit) != size:
             raise AssertionError(f"class of {rep} has size {len(orbit)}, expected {size}")
         classes.append(orbit)

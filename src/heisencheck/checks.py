@@ -255,9 +255,11 @@ def check_d11_v14_linear(ctx: RunContext):
 
 def _three_term_failure(m) -> tuple[int, ...] | None:
     """First quadruple ijkl where Pf^ij Pf^kl - Pf^ik Pf^jl + Pf^il Pf^jk
-    differs from Pf Pf^ijkl, or None; Pf^I deletes the rows and columns I."""
+    differs from Pf Pf^ijkl, or None; Pf^I deletes the rows and columns I.
+    The sub-Pfaffians share one memo, so each smaller one is expanded once."""
     pf = m.pfaffian()
-    sub = {idx: m.sub_pfaffian(idx)
+    memo: dict = {}
+    sub = {idx: m.sub_pfaffian(idx, memo)
            for r in (2, 4) for idx in itertools.combinations(range(6), r)}
     for quad in itertools.combinations(range(6), 4):
         i, j, k, l = quad

@@ -131,7 +131,8 @@ def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
     every block holds whole runs.  Block boundaries never change the
     enumeration, so partitioned runs merge to identical censuses.
     """
-    ramp = np.arange(q, dtype=np.int64)
+    # whole runs tile a block only when q <= block_size; only then is the ramp used
+    ramp = np.arange(q, dtype=np.int64) if q <= block_size else None
     for lead in range(ncoords):
         free = ncoords - lead - 1
         total = q ** free

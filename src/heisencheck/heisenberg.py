@@ -86,23 +86,19 @@ def v_dot_R(v, d: int) -> list[SparsePoly]:
     return out
 
 
-# -- span membership over Q(xi_d) ---------------------------------------------
+# -- span membership -------------------------------------------------------------
 
 
 class _SparseRowBasis:
-    """Incremental row reduction of monomial-keyed rows over Q(xi_d)."""
+    """Incremental row reduction of monomial-keyed rows.
 
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.pivots: dict = {}  # leading monomial -> reduced row dict
+    Rows keep the coefficients of the polynomials they come from, so the
+    arithmetic is over Q when those are Fractions and over Q(xi_n) when
+    they are CycloNums.
+    """
 
-    def _to_row(self, f: SparsePoly) -> dict:
-        row = {}
-        for exps, c in f.terms.items():
-            if not isinstance(c, CycloNum):
-                c = CycloNum.from_rational(self.order, c)
-            row[exps] = c
-        return row
+    def __init__(self) -> None:
+        self.pivots: dict = {}  # leading monomial -> reduced row dict, monic
 
     def _reduce(self, row: dict) -> dict:
         while row:
@@ -112,7 +108,7 @@ class _SparseRowBasis:
             pivot = self.pivots[lead]
             factor = row[lead]
             for m, c in pivot.items():
-                v = row.get(m, CycloNum.zero(self.order)) - factor * c
+                v = row.get(m, 0) - factor * c
                 if v:
                     row[m] = v
                 else:
@@ -120,26 +116,44 @@ class _SparseRowBasis:
         return row
 
     def contains(self, f: SparsePoly) -> bool:
-        return not self._reduce(self._to_row(f))
+        return not self._reduce(dict(f.terms))
 
     def insert(self, f: SparsePoly) -> None:
-        row = self._reduce(self._to_row(f))
+        row = self._reduce(dict(f.terms))
         if not row:
             return
         lead = max(row)
-        inv = row[lead].inverse()
+        inv = 1 / row[lead]
         self.pivots[lead] = {m: inv * c for m, c in row.items()}
 
 
+def _weight_components(f: SparsePoly, d: int) -> list[SparsePoly]:
+    """f split by the weight sum(i * e_i) mod d of its monomials; tau scales
+    the component of weight w by xi^(-w)."""
+    parts: dict[int, dict] = {}
+    for exps, c in f.terms.items():
+        w = sum(i * e for i, e in enumerate(exps)) % d
+        parts.setdefault(w, {})[exps] = c
+    return [SparsePoly(f.nvars, terms) for terms in parts.values()]
+
+
 def span_is_group_invariant(polys: list[SparsePoly], d: int) -> bool:
-    """True iff the linear span of polys is carried to itself by sigma and tau."""
-    basis = _SparseRowBasis(d)
+    """True iff the linear span W of polys is carried to itself by sigma and tau.
+
+    tau acts on the weight-w component of each f by the scalar xi^(-w), and
+    these d scalars are distinct, so W is tau-stable exactly when every
+    weight component of every spanning f lies in W.  That membership is
+    tested in the field of the coefficients: a rational vector lies in the
+    Q(xi_d)-span of rational vectors exactly when it lies in their Q-span.
+    """
+    basis = _SparseRowBasis()
     for f in polys:
         basis.insert(f)
     for f in polys:
         if not basis.contains(sigma(f, d)):
             return False
-        if not basis.contains(tau(f, d)):
+        parts = _weight_components(f, d)
+        if len(parts) > 1 and not all(basis.contains(g) for g in parts):
             return False
     return True
 

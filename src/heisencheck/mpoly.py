@@ -8,8 +8,8 @@ terms, division, and the canonical text rendering.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .exactnum import CycloNum
 
@@ -208,7 +208,11 @@ class SparsePoly:
 
         Unmapped variables are carried through unchanged, which requires
         the target ring to be the same one; when nvars_out differs, every
-        variable occurring in self must be mapped.
+        variable occurring in self must be mapped, or ValueError is raised.
+
+        When every image is a single term or zero, each term of self maps
+        to one term (or vanishes), with no polynomial products; otherwise
+        each term is expanded as a product of powers of the images.
         """
         target = self.nvars if nvars_out is None else nvars_out
         images: dict[int, SparsePoly] = {}
@@ -216,6 +220,8 @@ class SparsePoly:
             if g.nvars != target:
                 raise ValueError(f"image of x_{i} lives in arity {g.nvars}, expected {target}")
             images[i] = g
+        if all(len(g.terms) <= 1 for g in images.values()):
+            return self._substitute_terms(images, target)
         result = SparsePoly.zero(target)
         power_cache: dict[tuple[int, int], SparsePoly] = {}
 
@@ -237,6 +243,40 @@ class SparsePoly:
                     term = term * var_power(i, e)
             result = result + term
         return result
+
+    def _substitute_terms(self, images: dict, target: int) -> "SparsePoly":
+        """substitute() when every image is one term c_i * m_i or zero:
+        c * prod x_i^e_i maps to c * prod c_i^e_i times prod m_i^e_i."""
+        # per variable: None for a zero image, else (coefficient, exponents)
+        single = dict.fromkeys(images)
+        for i, g in images.items():
+            for m, c in g.terms.items():
+                single[i] = (c, m)
+        same_ring = target == self.nvars
+        out = []
+        for exps, coeff in self.terms.items():
+            new = [0] * target
+            vanishes = False
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                if i in single:
+                    image = single[i]
+                    if image is None:
+                        vanishes = True
+                    elif not vanishes:
+                        c, m = image
+                        coeff = coeff * c ** e
+                        for j, a in enumerate(m):
+                            if a:
+                                new[j] += a * e
+                elif same_ring:
+                    new[i] += e
+                else:
+                    raise ValueError(f"variable x_{i} unmapped across ring change")
+            if not vanishes:
+                out.append((tuple(new), coeff))
+        return SparsePoly(target, out)
 
     def evaluate(self, point) -> object:
         """Exact value at a point of field elements (Fraction or CycloNum)."""

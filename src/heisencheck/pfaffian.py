@@ -1,14 +1,14 @@
 """Pfaffians, sub-Pfaffians, the signed Pfaffian adjugate, and odd kernels.
 
-Entries may be SparsePoly, Fraction, or CycloNum; the only requirements
-are +, *, unary -, and truthiness for zero tests.  Expansion is along the
-first remaining row with memoization on index subsets, which is fast for
-the sizes used here (<= 10).
+Entries may be SparsePoly, int, Fraction, or CycloNum; the only
+requirements are +, *, unary -, and truthiness for zero tests.  Expansion
+is along the first remaining row with memoization on index subsets, which
+is fast for the sizes used here (<= 10); callers that take many
+Pfaffians of one matrix pass one memo to share the smaller ones.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 # Sign conventions, fixed once by the generic small cases and locked by
@@ -70,10 +70,10 @@ class SkewMatrix:
 
     # -- Pfaffians ----------------------------------------------------------
 
-    def pf_on(self, indices: tuple[int, ...], _memo=None):
-        """Pfaffian of the principal submatrix on the given sorted indices."""
-        memo = {} if _memo is None else _memo
-        return self._pf(tuple(indices), memo)
+    def pf_on(self, indices: tuple[int, ...], memo: dict | None = None):
+        """Pfaffian of the principal submatrix on the given sorted indices;
+        memo (index tuple -> Pfaffian) may be shared across calls."""
+        return self._pf(tuple(indices), {} if memo is None else memo)
 
     def _pf(self, idx: tuple[int, ...], memo: dict):
         if not idx:
@@ -99,13 +99,15 @@ class SkewMatrix:
             raise ValueError("Pfaffian needs even size")
         return self.pf_on(tuple(range(self.size)))
 
-    def sub_pfaffian(self, delete: Iterable[int]):
-        """Pfaffian after deleting the given rows and columns."""
+    def sub_pfaffian(self, delete: Iterable[int], memo: dict | None = None):
+        """Pfaffian after deleting the given rows and columns; memo is
+        shared as in pf_on, so the sub-Pfaffians of one matrix can reuse
+        each other's expansions."""
         dropped = set(delete)
         keep = tuple(i for i in range(self.size) if i not in dropped)
         if len(keep) % 2:
             raise ValueError("deletion leaves an odd-size matrix")
-        return self.pf_on(keep)
+        return self.pf_on(keep, memo)
 
     def adjugate(self) -> "SkewMatrix":
         """Signed co-Pfaffian matrix with M @ M* = ADJUGATE_SIGN * Pf(M) * I."""
@@ -150,9 +152,9 @@ def sum_entries(items) -> object:
 
 
 def random_skew(size: int, rng, bound: int = 9) -> SkewMatrix:
-    """Random rational skew matrix with entries in [-bound, bound]."""
+    """Random skew matrix with exact int entries in [-bound, bound]."""
     upper = {}
     for i in range(size):
         for j in range(i + 1, size):
-            upper[(i, j)] = Fraction(rng.randint(-bound, bound))
+            upper[(i, j)] = rng.randint(-bound, bound)
     return SkewMatrix(size, upper)

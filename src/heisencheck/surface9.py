@@ -246,7 +246,7 @@ def quadric_component(i: int, lam, mu) -> tuple[tuple[int, ...], SparsePoly]:
 
 def vanishes_on_component(f: SparsePoly, killed: tuple[int, ...], q: SparsePoly) -> bool:
     """Whether f dies after setting the killed variables to 0 and reducing mod q."""
-    sub = {v: SparsePoly.zero(9) for v in killed}
+    sub = dict.fromkeys(killed, SparsePoly.zero(9))
     restricted = f.substitute(sub)
     if restricted.is_zero():
         return True

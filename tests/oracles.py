@@ -8,7 +8,8 @@ from operator import mul
 
 import numpy as np
 
-from heisencheck.exactnum import cyclotomic_polynomial, euler_phi, prime_factors
+from heisencheck.chartab import character_table, enumerate_group, inverse, multiply
+from heisencheck.exactnum import CycloNum, cyclotomic_polynomial, euler_phi, prime_factors
 from heisencheck.ffscan import (
     SCAN_BLOCK,
     StratumCensus,
@@ -18,7 +19,7 @@ from heisencheck.ffscan import (
     point_blocks,
     projective_point_count,
 )
-from heisencheck.heisenberg import s_matrix
+from heisencheck.heisenberg import s_matrix, sigma, tau
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
 
@@ -353,16 +354,20 @@ def _fraction_root_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _fraction_reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Fold exponents mod n, then reduce mod Phi_n."""
+    """Fold exponents mod n, then reduce mod Phi_n, skipping zero terms."""
     phi = euler_phi(n)
     folded = list(coeffs[:n]) + [Fraction(0)] * max(0, n - len(coeffs))
     for k in range(n, len(coeffs)):
-        folded[k % n] += coeffs[k]
+        if coeffs[k]:
+            folded[k % n] += coeffs[k]
     out = folded[:phi]
     table = _fraction_root_table(n)
     for k in range(phi, n):
-        for j in range(phi):
-            out[j] += folded[k] * table[k][j]
+        c = folded[k]
+        if c:
+            for j, t in enumerate(table[k]):
+                if t:
+                    out[j] += c * t
     return tuple(out)
 
 
@@ -386,11 +391,11 @@ def _poly_divmod(num, den):
 
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
+            for j, bj in b_terms:
+                out[i + j] += ai * bj
     return out
 
 
@@ -473,3 +478,98 @@ class FractionCyclo:
         for k, c in enumerate(self.coeffs):
             out[k * step] = c
         return FractionCyclo(target_order, out)
+
+
+# -- the slow path behind SparsePoly.substitute with one-term images -----------
+
+
+def expanded_substitute(f: SparsePoly, mapping, nvars_out: int | None = None) -> SparsePoly:
+    """x_i -> mapping[i], each term a product of powers of the images.
+
+    Unmapped variables are carried through when the ring does not change,
+    and raise ValueError across a ring change.
+    """
+    target = f.nvars if nvars_out is None else nvars_out
+    result = SparsePoly.zero(target)
+    for exps, coeff in f.terms.items():
+        term = SparsePoly.constant(target, coeff)
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            if i in mapping:
+                image = mapping[i]
+            elif target == f.nvars:
+                image = SparsePoly.variable(target, i)
+            else:
+                raise ValueError(f"variable x_{i} unmapped across ring change")
+            term = term * image ** e
+        result = result + term
+    return result
+
+
+# -- the slow path behind chartab.conjugacy_classes ------------------------------
+
+
+def conjugation_classes() -> tuple[frozenset, ...]:
+    """Each table representative conjugated by all 660 group elements."""
+    return tuple(
+        frozenset(multiply(multiply(g, rep), inverse(g)) for g in enumerate_group())
+        for rep in character_table().representatives
+    )
+
+
+# -- the slow path behind the shared-memo sub-Pfaffians ---------------------------
+
+
+def independent_sub_pfaffians(m, sizes=(2, 4)) -> dict:
+    """Pf^I for every deleted set I of the given sizes, each with its own memo."""
+    return {idx: m.sub_pfaffian(idx)
+            for r in sizes for idx in combinations(range(m.size), r)}
+
+
+# -- the slow path behind heisenberg.span_is_group_invariant ----------------------
+
+
+class CycloRowBasis:
+    """Incremental row reduction with every coefficient in Q(xi_n)."""
+
+    def __init__(self, order: int) -> None:
+        self.order = order
+        self.pivots: dict = {}
+
+    def _to_row(self, f: SparsePoly) -> dict:
+        return {exps: c if isinstance(c, CycloNum) else CycloNum.from_rational(self.order, c)
+                for exps, c in f.terms.items()}
+
+    def _reduce(self, row: dict) -> dict:
+        while row:
+            lead = max(row)
+            if lead not in self.pivots:
+                return row
+            pivot = self.pivots[lead]
+            factor = row[lead]
+            for m, c in pivot.items():
+                v = row.get(m, CycloNum.zero(self.order)) - factor * c
+                if v:
+                    row[m] = v
+                else:
+                    row.pop(m, None)
+        return row
+
+    def contains(self, f: SparsePoly) -> bool:
+        return not self._reduce(self._to_row(f))
+
+    def insert(self, f: SparsePoly) -> None:
+        row = self._reduce(self._to_row(f))
+        if row:
+            lead = max(row)
+            inv = row[lead].inverse()
+            self.pivots[lead] = {m: inv * c for m, c in row.items()}
+
+
+def cyclo_span_is_group_invariant(polys: list[SparsePoly], d: int) -> bool:
+    """Whether sigma(f) and tau(f) lie in the Q(xi_d)-span for every f."""
+    basis = CycloRowBasis(d)
+    for f in polys:
+        basis.insert(f)
+    return all(basis.contains(sigma(f, d)) and basis.contains(tau(f, d)) for f in polys)

@@ -22,6 +22,7 @@ from heisencheck.chartab import (
     sym_power_character,
 )
 from heisencheck.exactnum import CycloNum
+from oracles import conjugation_classes
 
 
 def test_group_order_and_presentation():
@@ -38,6 +39,11 @@ def test_group_order_and_presentation():
 def test_class_sizes():
     sizes = [len(c) for c in conjugacy_classes()]
     assert sizes == [1, 55, 110, 132, 132, 110, 60, 60]
+
+
+def test_classes_match_conjugation_by_every_element():
+    # generator orbits give the same sets, in the order of the representatives
+    assert conjugacy_classes() == conjugation_classes()
 
 
 def test_class_of_examples():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice
 from math import isqrt
@@ -170,6 +171,18 @@ def test_point_blocks_split_runs_longer_than_a_block():
     expected[:, 0] = 1
     expected[:, 3], expected[:, 4] = np.divmod(index, q)
     assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def test_first_block_allocates_no_table_of_the_field():
+    # q > block_size, so no run fits a block and no q-long ramp is needed
+    tracemalloc.start()
+    try:
+        first = next(point_blocks(5, 10000019, block_size=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.shape == (1000, 5) and first[:, 4].tolist() == list(range(1000))
+    assert peak < 2 ** 20
 
 
 def test_point_blocks_beyond_int64_strides():

@@ -19,6 +19,7 @@ from heisencheck.heisenberg import (
     v_dot_R,
 )
 from heisencheck.mpoly import SparsePoly
+from oracles import cyclo_span_is_group_invariant
 
 
 def rand_poly(rng, d):
@@ -110,6 +111,70 @@ def test_partial_span_is_not_invariant():
     assert not span_is_group_invariant(bad, 11)
     with pytest.raises(ValueError):
         row_span_is_subrep([0] * 6, 11)
+
+
+def orbit_sum(f: SparsePoly, d: int, coeffs=None) -> SparsePoly:
+    """sum_k c_k sigma^k(f), with every c_k = 1 by default."""
+    coeffs = coeffs or [1] * d
+    total = SparsePoly.zero(d)
+    for k, c in enumerate(coeffs):
+        total = total + sigma(f, d, k).scale(c)
+    return total
+
+
+@pytest.mark.parametrize("d", [9, 11])
+def test_orbit_sum_is_fixed_by_sigma_and_moved_by_tau(d):
+    f = orbit_sum(SparsePoly.monomial(d, [0, 0]), d)
+    assert sigma(f, d) == f
+    assert not span_is_group_invariant([f], d)
+    assert not cyclo_span_is_group_invariant([f], d)
+    # with its weight components, the orbit's monomials, the span is invariant
+    squares = [SparsePoly.monomial(d, [k, k]) for k in range(d)]
+    assert span_is_group_invariant([f] + squares, d)
+    assert cyclo_span_is_group_invariant([f] + squares, d)
+
+
+def test_every_weight_component_is_tested():
+    # d = 9: F's parts of weight 0, 3, 6 are the cubes x_k x_(k+3) x_(k+6),
+    # which lie in the span, and come first; its parts of weight 1, 4, 7 do not
+    d = 9
+    cubes = [SparsePoly.monomial(d, [k, k + 3, k + 6]) for k in range(3)]
+    F = cubes[0] + cubes[1] + cubes[2] + orbit_sum(SparsePoly.monomial(d, [0, 0, 1]), d)
+    assert sigma(F, d) == F
+    assert not span_is_group_invariant(cubes + [F], d)
+    assert not cyclo_span_is_group_invariant(cubes + [F], d)
+
+
+def random_span(rng, d: int, kind: int) -> list[SparsePoly]:
+    h = (d + 1) // 2
+    rational = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(h)]
+    rational[0] = rational[0] or Fraction(1)
+    if kind == 0:  # a subrepresentation over Q
+        return v_dot_R(rational, d)
+    if kind == 1:  # a subrepresentation over Q(xi_d)
+        return v_dot_R([c * CycloNum.root(d, rng.randrange(d)) for c in rational], d)
+    if kind == 2:  # some of its quadrics, so sigma moves the span unless all are kept
+        rows = v_dot_R(rational, d)
+        return rng.sample(rows, rng.randint(1, d))
+    if kind == 3:  # quadrics with no structure
+        return [rand_poly(rng, d) for _ in range(rng.randint(1, 4))]
+    # combinations of the monomials of one sigma-orbit: sigma-stable, and
+    # tau-stable only when they span the whole orbit
+    m = SparsePoly.monomial(d, [rng.randrange(d) for _ in range(rng.randint(1, 3))])
+    return [orbit_sum(m, d, [rng.randint(-2, 2) or 1 for _ in range(d)])
+            for _ in range(rng.randint(1, d))]
+
+
+@pytest.mark.parametrize("d", [5, 9, 11])
+def test_span_test_matches_the_cyclotomic_oracle(d):
+    rng = random.Random(40 + d)
+    answers = set()
+    for trial in range(40):
+        span = random_span(rng, d, trial % 5)
+        answer = span_is_group_invariant(span, d)
+        assert answer == cyclo_span_is_group_invariant(span, d)
+        answers.add((trial % 5, answer))
+    assert {(0, True), (1, True), (2, False), (3, False), (4, False)} <= answers
 
 
 @pytest.mark.parametrize("d", [9, 11])

@@ -17,7 +17,7 @@ from heisencheck.mpoly import (
     parse_poly,
     render_poly,
 )
-from oracles import partial, sorted_graded_monomials
+from oracles import expanded_substitute, partial, sorted_graded_monomials
 
 
 def rand_poly(rng, nvars=4, terms=3, max_exp=3):
@@ -75,6 +75,61 @@ def test_substitute_ring_change_requires_total_map():
         f.substitute(mapping, nvars_out=2)
     mapping[1] = SparsePoly.variable(2, 1)
     assert f.substitute(mapping, nvars_out=2) == SparsePoly.monomial(2, [0, 1])
+
+
+def coefficients():
+    """Nonzero Fractions and nonzero elements of Q(xi_9)."""
+    rational = st.builds(Fraction, st.integers(1, 5), st.integers(1, 4))
+    cyclotomic = st.builds(lambda k, c: CycloNum.root(9, k) * c, st.integers(0, 8), rational)
+    return st.builds(lambda sign, c: sign * c, st.sampled_from([1, -1]), rational | cyclotomic)
+
+
+def polys(nvars: int, min_size: int, max_size: int):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), coefficients(),
+                           min_size=min_size, max_size=max_size,
+                           ).map(lambda terms: SparsePoly(nvars, terms))
+
+
+@st.composite
+def substitutions(draw):
+    """(f, mapping, nvars_out): each variable of f unmapped, sent to 0, or to
+    one term c * m (occasionally two terms, the expansion path)."""
+    nvars = draw(st.integers(1, 5))
+    nvars_out = draw(st.sampled_from([nvars, 1, 2, 3, 4, 5]))
+    f = draw(polys(nvars, 0, 6))
+    mapping = {}
+    for i in range(nvars):
+        size = draw(st.sampled_from([None, 0, 1, 1, 1, 2]))
+        if size is not None:
+            mapping[i] = draw(polys(nvars_out, size, size))
+    return f, mapping, nvars_out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(substitutions())
+def test_substitute_matches_the_expansion_oracle(case):
+    f, mapping, nvars_out = case
+    try:
+        expected = expanded_substitute(f, mapping, nvars_out)
+    except ValueError:
+        # an unmapped variable occurs across a ring change
+        with pytest.raises(ValueError, match="unmapped across ring change"):
+            f.substitute(mapping, nvars_out=nvars_out)
+        return
+    assert f.substitute(mapping, nvars_out=nvars_out) == expected
+    if nvars_out == f.nvars:
+        assert f.substitute(mapping) == expected
+
+
+def test_substitute_one_term_images_cancel_and_collect():
+    # x0 -> x0, x1 -> -x0, x2 -> 0: x0^2 + 2 x0 x1 + x1^2 + x2 collapses to 0
+    f = parse_poly("x0^2 + 2*x0*x1 + x1^2 + x2", ["x0", "x1", "x2"])
+    x0 = SparsePoly.variable(1, 0)
+    mapping = {0: x0, 1: -x0, 2: SparsePoly.zero(1)}
+    assert f.substitute(mapping, nvars_out=1).is_zero()
+    # a killed variable does not excuse an unmapped one in the same term
+    with pytest.raises(ValueError, match="x_1 unmapped"):
+        SparsePoly.monomial(3, [0, 1]).substitute({0: SparsePoly.zero(2)}, nvars_out=2)
 
 
 def test_evaluate_is_multiplicative():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from heisencheck.pfaffian import (
     random_skew,
     sum_entries,
 )
+from oracles import independent_sub_pfaffians
 
 
 def generic_skew(size):
@@ -99,6 +101,26 @@ def test_sub_pfaffian_down_to_entry():
               - g.entry(0, 2) * g.entry(1, 3)
               + g.entry(0, 3) * g.entry(1, 2))
     assert quartic == closed
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_shared_memo_sub_pfaffians_match_independent_ones(size):
+    rng = random.Random(size)
+    sizes = range(0, size + 1, 2)
+    for _ in range(10):
+        ints = random_skew(size, rng)
+        assert all(isinstance(v, int) for v in ints.upper.values())
+        fractions = SkewMatrix(size, {ij: Fraction(v, rng.randint(1, 7))
+                                      for ij, v in random_skew(size, rng).upper.items()})
+        for m in (ints, fractions):
+            memo: dict = {}
+            shared = {idx: m.sub_pfaffian(idx, memo)
+                      for r in sizes for idx in combinations(range(size), r)}
+            assert shared == independent_sub_pfaffians(m, sizes)
+            assert shared[()] == m.pfaffian()
+            # every kept index set was expanded into the one memo
+            kept = {tuple(sorted(set(range(size)) - set(idx))) for idx in shared}
+            assert kept - {()} <= set(memo)
 
 
 def test_adjugate_identity_generic():
