@@ -122,7 +122,6 @@ def conjugacy_classes() -> tuple[frozenset, ...]:
     table = character_table()
     conjugators = [(g, inverse(g)) for g in (GEN_S, GEN_T)]
     classes = []
-    covered = 0
     for rep, size in zip(table.representatives, table.class_sizes):
         seen = {rep}
         frontier = [rep]
@@ -139,8 +138,8 @@ def conjugacy_classes() -> tuple[frozenset, ...]:
         if len(orbit) != size:
             raise AssertionError(f"class of {rep} has size {len(orbit)}, expected {size}")
         classes.append(orbit)
-        covered += len(orbit)
-    if covered != GROUP_ORDER:
+    # the sizes sum to the group order, so a union this large is a partition
+    if len(frozenset().union(*classes)) != GROUP_ORDER:
         raise AssertionError("conjugacy classes do not partition the group")
     return tuple(classes)
 

@@ -74,7 +74,7 @@ def check_output_dir(path: str) -> None:
 
 
 def load_config_file(path: str) -> dict:
-    """Plain key=value lines; '#' starts a comment."""
+    """Plain key=value lines; '#' starts a comment; a key may occur once."""
     values = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -84,7 +84,10 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            values[key] = value.strip()
     return values
 
 

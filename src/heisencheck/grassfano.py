@@ -33,7 +33,9 @@ def theta_plucker_d11() -> SkewMatrix:
     return s_matrix(11).adjugate()
 
 
-PLUCKER_VARIABLES = [f"p{i}{j}" for i in range(1, 7) for j in range(i + 1, 7)]
+# The 1-based labels (i, j) of the Plucker coordinates p_ij, in variable order.
+PLUCKER_PAIRS = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+PLUCKER_VARIABLES = [f"p{i}{j}" for i, j in PLUCKER_PAIRS]
 
 
 @lru_cache(maxsize=None)
@@ -43,15 +45,16 @@ def v14_linear_forms() -> list[SparsePoly]:
 
 
 def evaluate_on_plucker(form: SparsePoly, p: SkewMatrix, nvars_out: int) -> SparsePoly:
-    """Substitute the entries p_ij = p.entry(i-1, j-1) into a form on Plucker space."""
-    mapping = {}
-    for idx, name in enumerate(PLUCKER_VARIABLES):
-        i, j = int(name[1]), int(name[2])
-        v = p.entry(i - 1, j - 1)
-        if not isinstance(v, SparsePoly):
-            v = SparsePoly.constant(nvars_out, v)
-        mapping[idx] = v
-    return form.substitute(mapping, nvars_out=nvars_out)
+    """The linear form sum c * p_ij at p_ij = p.entry(i-1, j-1), as that
+    linear combination of the entries; a term of degree other than 1
+    raises ValueError."""
+    total = SparsePoly.zero(nvars_out)
+    for exps, c in form.terms.items():
+        if sum(exps) != 1:
+            raise ValueError(f"term of degree {sum(exps)} in a linear form on Plucker space")
+        i, j = PLUCKER_PAIRS[exps.index(1)]
+        total = total + p.entry(i - 1, j - 1) * c
+    return total
 
 
 def v14_relation_residues() -> list[SparsePoly]:

@@ -2,7 +2,9 @@
 
 Terms map dense exponent tuples to nonzero coefficients.  The monomial
 order is graded reverse lexicographic throughout, which fixes leading
-terms, division, and the canonical text rendering.
+terms, division, and the canonical text rendering.  Substitution sends
+each variable to one term or zero, so it maps term to term and never
+expands a product of sums.
 """
 
 from __future__ import annotations
@@ -176,18 +178,6 @@ class SparsePoly:
             return SparsePoly.zero(self.nvars)
         return SparsePoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
-    def __pow__(self, k: int) -> "SparsePoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = SparsePoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, CycloNum)):
             other = SparsePoly.constant(self.nvars, other)
@@ -204,54 +194,24 @@ class SparsePoly:
         mapping: Mapping[int, "SparsePoly"],
         nvars_out: int | None = None,
     ) -> "SparsePoly":
-        """Simultaneous substitution x_i -> mapping[i].
+        """Simultaneous substitution x_i -> mapping[i], each image one term
+        c_i * m_i or zero: c * prod x_i^e_i maps to c * prod c_i^e_i times
+        prod m_i^e_i, or vanishes.  An image of two or more terms raises
+        ValueError.
 
         Unmapped variables are carried through unchanged, which requires
         the target ring to be the same one; when nvars_out differs, every
         variable occurring in self must be mapped, or ValueError is raised.
-
-        When every image is a single term or zero, each term of self maps
-        to one term (or vanishes), with no polynomial products; otherwise
-        each term is expanded as a product of powers of the images.
         """
         target = self.nvars if nvars_out is None else nvars_out
-        images: dict[int, SparsePoly] = {}
+        # per variable: None for a zero image, else (exponents, coefficient)
+        single: dict[int, tuple | None] = {}
         for i, g in mapping.items():
             if g.nvars != target:
                 raise ValueError(f"image of x_{i} lives in arity {g.nvars}, expected {target}")
-            images[i] = g
-        if all(len(g.terms) <= 1 for g in images.values()):
-            return self._substitute_terms(images, target)
-        result = SparsePoly.zero(target)
-        power_cache: dict[tuple[int, int], SparsePoly] = {}
-
-        def var_power(i: int, e: int) -> SparsePoly:
-            key = (i, e)
-            if key not in power_cache:
-                if i in images:
-                    power_cache[key] = images[i] ** e
-                elif target == self.nvars:
-                    power_cache[key] = SparsePoly.variable(target, i, e)
-                else:
-                    raise ValueError(f"variable x_{i} unmapped across ring change")
-            return power_cache[key]
-
-        for exps, coeff in self.terms.items():
-            term = SparsePoly.constant(target, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * var_power(i, e)
-            result = result + term
-        return result
-
-    def _substitute_terms(self, images: dict, target: int) -> "SparsePoly":
-        """substitute() when every image is one term c_i * m_i or zero:
-        c * prod x_i^e_i maps to c * prod c_i^e_i times prod m_i^e_i."""
-        # per variable: None for a zero image, else (coefficient, exponents)
-        single = dict.fromkeys(images)
-        for i, g in images.items():
-            for m, c in g.terms.items():
-                single[i] = (c, m)
+            if len(g.terms) > 1:
+                raise ValueError(f"image of x_{i} has {len(g.terms)} terms, expected one or none")
+            single[i] = next(iter(g.terms.items()), None)
         same_ring = target == self.nvars
         out = []
         for exps, coeff in self.terms.items():
@@ -265,7 +225,7 @@ class SparsePoly:
                     if image is None:
                         vanishes = True
                     elif not vanishes:
-                        c, m = image
+                        m, c = image
                         coeff = coeff * c ** e
                         for j, a in enumerate(m):
                             if a:

@@ -480,11 +480,12 @@ class FractionCyclo:
         return FractionCyclo(target_order, out)
 
 
-# -- the slow path behind SparsePoly.substitute with one-term images -----------
+# -- the slow path behind SparsePoly.substitute and evaluate_on_plucker ---------
 
 
 def expanded_substitute(f: SparsePoly, mapping, nvars_out: int | None = None) -> SparsePoly:
-    """x_i -> mapping[i], each term a product of powers of the images.
+    """x_i -> mapping[i], each term a product of the images, one factor per
+    unit of exponent; images may have any number of terms.
 
     Unmapped variables are carried through when the ring does not change,
     and raise ValueError across a ring change.
@@ -502,7 +503,8 @@ def expanded_substitute(f: SparsePoly, mapping, nvars_out: int | None = None) ->
                 image = SparsePoly.variable(target, i)
             else:
                 raise ValueError(f"variable x_{i} unmapped across ring change")
-            term = term * image ** e
+            for _ in range(e):
+                term = term * image
         result = result + term
     return result
 

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from heisencheck import chartab
 from heisencheck.chartab import (
     GEN_S,
     GEN_T,
@@ -16,6 +18,7 @@ from heisencheck.chartab import (
     element_power,
     enumerate_group,
     inner_product,
+    inverse,
     multiplicity_names,
     multiply,
     power_map,
@@ -44,6 +47,22 @@ def test_class_sizes():
 def test_classes_match_conjugation_by_every_element():
     # generator orbits give the same sets, in the order of the representatives
     assert conjugacy_classes() == conjugation_classes()
+
+
+def test_classes_must_cover_the_group(monkeypatch):
+    # representative 4 replaced by a conjugate of representative 3: every
+    # orbit still has its table size, but two orbits coincide
+    table = character_table()
+    reps = list(table.representatives)
+    reps[4] = multiply(multiply(GEN_S, reps[3]), inverse(GEN_S))
+    mutant = dataclasses.replace(table, representatives=tuple(reps))
+    monkeypatch.setattr(chartab, "character_table", lambda: mutant)
+    conjugacy_classes.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="do not partition"):
+            conjugacy_classes()
+    finally:
+        conjugacy_classes.cache_clear()
 
 
 def test_class_of_examples():

@@ -213,7 +213,9 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
                  "lambda_mu_samples = 1:0",
                  # the Macaulay fill used to end in an OverflowError
                  "lambda_mu_samples = 9223372036854775808:1;1:1",
-                 "lambda_mu_samples = 1:1;1:-9223372036854775808"):
+                 "lambda_mu_samples = 1:1;1:-9223372036854775808",
+                 # a repeated key used to keep its last value silently
+                 "t_max = 2\nt_max = 3"):
         config.write_text(line + "\n")
         assert main(["verify", "--config", str(config)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err

@@ -1,23 +1,29 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from heisencheck import golden
 from heisencheck.grassfano import (
     KLEIN_PF_SIGN,
     PF_SEXTIC_SIGN,
+    PLUCKER_VARIABLES,
+    evaluate_on_plucker,
     golden_sextic,
     jacobian_quadrics,
     jacobian_system,
     klein_cubic,
     klein_from_hyperplanes,
     theta_plucker_d11,
+    v14_linear_forms,
     v14_relation_residues,
     v14_relations_hold,
 )
 from heisencheck.heisenberg import s_matrix, sigma
 from heisencheck.linalg import rank_fraction
-from heisencheck.mpoly import SparsePoly, divide_exact
-from oracles import partial
+from heisencheck.mpoly import SparsePoly, divide_exact, parse_poly
+from oracles import expanded_substitute, partial
 
 X5 = [f"x{k}" for k in range(1, 6)]
 
@@ -50,6 +56,40 @@ def test_all_quartic_coordinates():
         poly = p.entry(i, j)
         if poly:
             assert poly.is_homogeneous() and poly.degree() == 4
+
+
+def plucker_matrices():
+    return [theta_plucker_d11(), klein_from_hyperplanes()[0].adjugate()]
+
+
+def plucker_oracle(form, p):
+    """form with p_ij -> p.entry(i-1, j-1), by expansion."""
+    pairs = combinations(range(6), 2)
+    entries = [p.entry(i, j) or SparsePoly.zero(5) for i, j in pairs]
+    return expanded_substitute(form, dict(enumerate(entries)), 5)
+
+
+def test_evaluate_on_plucker_matches_expansion_on_golden_forms():
+    for p in plucker_matrices():
+        for form in v14_linear_forms():
+            assert evaluate_on_plucker(form, p, 5) == plucker_oracle(form, p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 14), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                       max_size=6))
+def test_evaluate_on_plucker_matches_expansion_on_drawn_forms(coeffs):
+    form = SparsePoly(15, {tuple(int(k == idx) for k in range(15)): c for idx, c in coeffs.items()})
+    for p in plucker_matrices():
+        assert evaluate_on_plucker(form, p, 5) == plucker_oracle(form, p)
+
+
+@pytest.mark.parametrize("text", ["p12*p34 - p13*p24 + p14*p23", "p12 - 3*p45 + 1"])
+def test_evaluate_on_plucker_rejects_nonlinear_terms(text):
+    form = parse_poly(text, PLUCKER_VARIABLES)
+    for p in plucker_matrices():
+        with pytest.raises(ValueError, match="degree"):
+            evaluate_on_plucker(form, p, 5)
 
 
 def test_klein_matrix_and_cubic():
