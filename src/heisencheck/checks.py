@@ -155,7 +155,7 @@ class RunConfig:
         for name in ("jacobian_primes", "rank_primes"):
             for q in getattr(self, name):
                 try:
-                    check_modulus(q)  # tests the bound before any trial division
+                    check_modulus(q)  # tests the bound before the primality test
                     # the factor 2 in the Jacobian quadrics vanishes over F_2
                     if name == "jacobian_primes" and q == 2:
                         raise ValueError(f"q = {q} is not an odd prime")

@@ -52,10 +52,41 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+# Miller-Rabin on the bases 2, 3, 5, 7 is exact below this bound (the least
+# strong pseudoprime to all four is 3215031751, Jaeschke 1993).
+MILLER_RABIN_BOUND = 3215031751
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Primality by trial division, through prime_factors."""
-    return n >= 2 and prime_factors(n) == [n]
+    """Primality by deterministic Miller-Rabin on the bases 2, 3, 5, 7.
+
+    An n at or above MILLER_RABIN_BOUND, where those bases stop being a
+    proof, raises ValueError; every modulus check_modulus accepts is below 2^31.
+    """
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"is_prime({n}): Miller-Rabin on bases 2, 3, 5, 7 is exact "
+                         f"only below {MILLER_RABIN_BOUND}")
+    if n < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_modulus(q: int) -> None:
@@ -64,7 +95,7 @@ def check_modulus(q: int) -> None:
     Inversion by Fermat's rule needs q prime, and with residues in [0, q)
     every product of two of them is below q^2 < 2^62, so a kernel that
     reduces before a multiply or add could reach 2^63 never leaves int64.
-    The bound is tested first, so a huge q is rejected without trial division.
+    The bound is tested first, so is_prime only sees q below 2^31.
     """
     if q >= 2 ** 31:
         raise ValueError(f"q = {q} is too large: q must be a prime below 2^31")

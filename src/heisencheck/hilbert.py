@@ -8,13 +8,15 @@ its generators' multiples miss.  For a general ideal, monomial generators
 are split off first (their degree-t multiples are standard basis vectors),
 which keeps the elimination small.  Each non-monomial generator is cleared
 of denominators once, so every degree is one exact integer Macaulay
-matrix, built with array operations at the surviving columns.  Its rank is
-computed over two fixed 30-bit primes; on disagreement the computation
-falls back to exact rationals on the same matrix.  The Macaulay matrices
-are very sparse (about 2.4 nonzeros per row at t = 8 for J(lambda:mu)), so
-the modular elimination first peels singleton columns, which for
-J(lambda:mu) leaves nothing to pivot on, and otherwise touches only the
-rows with a nonzero in the pivot column.
+matrix, built with array operations at the surviving columns.  The
+Macaulay matrices are very sparse (about 2.4 nonzeros per row at t = 8 for
+J(lambda:mu)), so each is first peeled of its singleton columns over Z: a
+column whose only nonzero integer lies in row i makes row i independent,
+so that part of the rank is exact over Q.  Only the remainder is ranked
+over two fixed 30-bit primes, falling back to exact rationals on the
+remainder when they disagree.  Every J(lambda:mu) matrix (checked to
+t = 8) peels to nothing, so those values are exact over Q and no modular
+elimination runs on them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import rank_fraction, rank_mod
+from .linalg import _peel_singletons, rank_fraction, rank_mod
 from .mpoly import SparsePoly, monomial_exponents
 
 # Two 30-bit primes away from 2, 3, 5, 11; recorded in the run config.
@@ -214,25 +216,35 @@ def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
         yield mat
 
 
+def _macaulay_rank(mat: np.ndarray, primes: tuple[int, int] = RANK_PRIMES) -> int:
+    """Rank of an integer matrix: its singleton peel over Z, which is exact
+    over Q, plus the remainder's common rank mod both primes, or the
+    remainder's rank over Q if they disagree."""
+    peeled, rest = _peel_singletons(mat)
+    ranks = {rank_mod(rest, p) for p in primes}
+    return peeled + (ranks.pop() if len(ranks) == 1 else rank_fraction(rest.tolist()))
+
+
 def graded_hilbert(
     generators,
     nvars: int,
     t_max: int,
     primes: tuple[int, int] = RANK_PRIMES,
 ) -> list[int]:
-    """values[t] = C(t+n-1, n-1) - dim of the degree-t piece of the ideal."""
+    """values[t] = C(t+n-1, n-1) - dim of the degree-t piece of the ideal.
+
+    Each degree's integer Macaulay matrix is peeled of its singleton
+    columns over Z, which is exact over Q; only the remainder's rank is
+    modular (the common rank mod both primes, or its rank over Q if they
+    disagree).  J(lambda:mu) matrices peel to nothing, so their values are
+    exact.
+    """
     gens = list(generators)
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError(f"inhomogeneous generator {g}")
-    values = []
-    for mat in _macaulay_matrices(gens, nvars, t_max):
-        rank = 0
-        if len(mat):
-            ranks = {rank_mod(mat, p) for p in primes}
-            rank = ranks.pop() if len(ranks) == 1 else rank_fraction(mat.tolist())
-        values.append(mat.shape[1] - rank)
-    return values
+    return [mat.shape[1] - _macaulay_rank(mat, primes)
+            for mat in _macaulay_matrices(gens, nvars, t_max)]
 
 
 def abelian_surface_profile(t_max: int) -> list[int]:

@@ -20,6 +20,7 @@ from heisencheck.ffscan import (
     projective_point_count,
 )
 from heisencheck.heisenberg import s_matrix, sigma, tau
+from heisencheck.linalg import rank_fraction, rank_mod
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
 
@@ -142,6 +143,15 @@ def row_loop_macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: 
             for j, c in entries:
                 mat[r, j] = c
         yield mat
+
+
+# -- the whole-matrix path behind hilbert._macaulay_rank's peel over Z --------
+
+
+def two_prime_rank(matrix: np.ndarray, primes: tuple[int, int]) -> int:
+    """Rank of the whole matrix mod each prime, over Q if the two disagree."""
+    ranks = {rank_mod(matrix, p) for p in primes}
+    return ranks.pop() if len(ranks) == 1 else rank_fraction(np.asarray(matrix).tolist())
 
 
 # -- the slow path behind hilbert.monomial_hilbert ------------------------------
@@ -295,6 +305,14 @@ def closed_form_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     ranks[low] = 2
     ranks[low & np.logical_and.reduce([v == 0 for v in val.values()])] = 0
     return ranks
+
+
+# -- the slow path behind exactnum.is_prime -------------------------------------
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division, through prime_factors."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 # -- the slow path behind exactnum.nth_root_in_prime_field ---------------------

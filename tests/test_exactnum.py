@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisencheck.exactnum import (
+    MILLER_RABIN_BOUND,
     CycloNum,
     cyclo_mod,
     cyclotomic_polynomial,
@@ -18,7 +19,8 @@ from heisencheck.exactnum import (
     nth_root_in_prime_field,
     quadratic_gauss_sum,
 )
-from oracles import FractionCyclo, search_nth_root
+from heisencheck.hilbert import RANK_PRIMES
+from oracles import FractionCyclo, search_nth_root, trial_division_is_prime
 
 
 def test_cyclotomic_polynomials():
@@ -292,3 +294,19 @@ def test_reduction_mod_q_is_a_ring_homomorphism(n, q):
     run()
     with pytest.raises(ZeroDivisionError):
         cyclo_mod(CycloNum.root(n) / q, base, q)
+
+
+def test_is_prime_matches_trial_division():
+    miller_rabin = is_prime.__wrapped__  # uncached, so the sweep fills no cache
+    for n in range(-2, 2 * 10 ** 5):
+        assert miller_rabin(n) == trial_division_is_prime(n), n
+    # the least strong pseudoprimes to base 2, to bases 2 and 3, and to 2, 3 and 5
+    for n in (2047, 1373653, 25326001, 2 ** 31 - 1, *RANK_PRIMES):
+        assert miller_rabin(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_values_beyond_its_proof():
+    assert is_prime(MILLER_RABIN_BOUND - 2) == trial_division_is_prime(MILLER_RABIN_BOUND - 2)
+    for n in (MILLER_RABIN_BOUND, 2 ** 64):
+        with pytest.raises(ValueError):
+            is_prime(n)

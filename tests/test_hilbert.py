@@ -8,6 +8,7 @@ from heisencheck.hilbert import (
     RANK_PRIMES,
     SimplicialComplex,
     _macaulay_matrices,
+    _macaulay_rank,
     _packed_bases,
     abelian_surface_profile,
     face_vector,
@@ -15,7 +16,7 @@ from heisencheck.hilbert import (
     monomial_hilbert,
     stanley_reisner_hilbert,
 )
-from heisencheck.linalg import _peel_singletons, rank_mod
+from heisencheck.linalg import _peel_singletons, rank_fraction, rank_mod
 from heisencheck.mpoly import SparsePoly, graded_monomials
 from heisencheck.surface9 import (
     j1_generators,
@@ -30,6 +31,7 @@ from oracles import (
     divisor_loop_hilbert,
     project_rows,
     row_loop_macaulay_matrices,
+    two_prime_rank,
 )
 
 TORUS_PROFILE = [1, 9, 36, 81, 144, 225]
@@ -293,8 +295,8 @@ def test_cubic_gap_at_generic_image():
 def test_j_family_macaulay_matrices_peel_to_nothing(lam, mu):
     # every row holds the last nonzero of some column, so no pivot is needed
     for mat in _macaulay_matrices(j_family(lam, mu).generators(), 9, 8):
-        for p in RANK_PRIMES:
-            peeled, rest = _peel_singletons(mat % p)
+        for reduced in (mat, *(mat % p for p in RANK_PRIMES)):
+            peeled, rest = _peel_singletons(reduced)
             assert (peeled, rest.size) == (len(mat), 0)
 
 
@@ -302,9 +304,11 @@ def test_cubic_gap_matrix_peels_nine_rows():
     v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
     mat = list(_macaulay_matrices(v_dot_R4(v), 9, 3))[3]
     assert mat.shape == (81, 165)
-    for p in RANK_PRIMES:
-        peeled, rest = _peel_singletons(mat % p)
+    for reduced in (mat, *(mat % p for p in RANK_PRIMES)):
+        peeled, rest = _peel_singletons(reduced)
         assert (peeled, rest.shape) == (9, (72, 153))
+    assert _macaulay_rank(mat) == 78
+    for p in RANK_PRIMES:
         assert rank_mod(mat, p) == dense_rank_mod(mat, p) == 78
 
 
@@ -322,6 +326,45 @@ def test_two_prime_disagreement_falls_back_to_exact_ranks():
     g = SparsePoly.monomial(3, [0, 0]) + SparsePoly.monomial(3, [1, 1], 1 + p1)
     profile = graded_hilbert([f, g], 3, 2)
     assert profile[2] == 6 - 2  # both generators count over Q
+
+
+def test_a_row_whose_only_entry_vanishes_mod_both_primes_still_counts():
+    # the complete intersection of p1 p2 x0^2 + x1 x2 and x1^2: in degree 3
+    # the row x1 f keeps only p1 p2 x0^2 x1, zero mod both rank primes
+    p1, p2 = RANK_PRIMES
+    f = SparsePoly.monomial(3, [0, 0], p1 * p2) + SparsePoly.monomial(3, [1, 2])
+    g = SparsePoly.monomial(3, [1, 1])
+    assert graded_hilbert([f, g], 3, 3) == [1, 3, 4, 4]
+
+
+_P1, _P2 = RANK_PRIMES
+_RANK_ENTRIES = (0, 0, 0, 1, -1, 2, _P1, -_P1, 3 * _P1, _P2, -2 * _P2, _P1 * _P2, -_P1 * _P2)
+
+
+@st.composite
+def _small_integer_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(_RANK_ENTRIES), min_size=cols, max_size=cols)
+    return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_small_integer_matrices())
+# the peel is exact, but a remainder of rank 1 over Q and 0 mod both primes
+# is undercounted, while the whole matrix's primes disagree (0 and 1) and
+# send the oracle to its exact fallback
+@example(np.array([[_P1, 0, 0], [0, _P1 * _P2, _P1 * _P2], [0, _P1 * _P2, _P1 * _P2]]))
+def test_the_peel_over_z_is_exact_over_q(mat):
+    exact = rank_fraction(mat.tolist())
+    peeled, rest = _peel_singletons(mat)
+    assert peeled + rank_fraction(rest.tolist()) == exact
+    rank = _macaulay_rank(mat)
+    whole = {p: rank_mod(mat, p) for p in RANK_PRIMES}
+    # never below what either prime sees on the whole matrix, so never
+    # below the whole-matrix oracle when its two primes agree
+    assert max(whole.values()) <= rank <= exact
+    if len(set(whole.values())) == 1:
+        assert rank >= two_prime_rank(mat, RANK_PRIMES)
 
 
 def test_monomial_generator_with_unit_coefficient_scaling():
