@@ -428,27 +428,25 @@ def torus_order(d: int) -> int:
     return d if free else 1
 
 
-def coset_representatives(h: int, q: int) -> np.ndarray | None:
-    """The least element of each coset of mu_h in F_q^*, ascending, or None
-    (all of F_q^*) for h = 1.  There are (q-1)/h of them."""
+def _least_table(h: int, q: int) -> np.ndarray | None:
+    """least[v] for v in F_q: v is the least element of its coset of mu_h
+    in F_q^* (never v = 0; (q-1)/h entries are set), or None for h = 1.
+
+    v is least when v < v xi^j mod q for every j = 1..h-1.  The table is
+    filled SCAN_BLOCK entries at a time, so besides its q bytes only
+    block-sized temporaries are alive.
+    """
     if h == 1:
         return None
     xi = nth_root_in_prime_field(h, q)
-    x = np.arange(1, q, dtype=np.int64)
-    least = np.ones(q - 1, dtype=bool)
-    for j in range(1, h):
-        least &= x < x * pow(xi, j, q) % q
-    return x[least]
-
-
-def _least_table(h: int, q: int) -> np.ndarray | None:
-    """least[v] for v in F_q: v is a least coset representative of mu_h
-    (never v = 0), or None for h = 1."""
-    reps = coset_representatives(h, q)
-    if reps is None:
-        return None
+    roots = [pow(xi, j, q) for j in range(1, h)]
     least = np.zeros(q, dtype=bool)
-    least[reps] = True
+    for start in range(1, q, SCAN_BLOCK):
+        x = np.arange(start, min(start + SCAN_BLOCK, q), dtype=np.int64)
+        piece = least[start:start + len(x)]
+        piece[:] = True
+        for root in roots:
+            piece &= x < x * root % q
     return least
 
 

@@ -1,21 +1,26 @@
 """Hilbert functions: combinatorial for monomial ideals, degreewise linear
 algebra for general homogeneous ideals, and flatness evidence for families.
 
-Monomials are packed into int64 in base t_max + 1 (one array per degree,
-in grevlex order), so every product is an addition and every lookup one
-searchsorted.  A monomial ideal's Hilbert function counts the monomials
-its generators' multiples miss.  For a general ideal, monomial generators
-are split off first (their degree-t multiples are standard basis vectors),
-which keeps the elimination small.  Each non-monomial generator is cleared
-of denominators once, so every degree is one exact integer Macaulay
-matrix, built with array operations at the surviving columns.  The
-Macaulay matrices are very sparse (about 2.4 nonzeros per row at t = 8 for
-J(lambda:mu)), so each is first peeled of its singleton columns over Z: a
-column whose only nonzero integer lies in row i makes row i independent,
-so that part of the rank is exact over Q.  Only the remainder is ranked
-over two fixed 30-bit primes, falling back to exact rationals on the
-remainder when they disagree.  Every J(lambda:mu) matrix (checked to
-t = 8) peels to nothing, so those values are exact over Q and no modular
+Monomials are packed into int64 in base t_max + 1, so every product is an
+addition and every lookup one searchsorted.  Everything is built over the
+standard monomials of the monomial generators: std[t], the degree-t
+monomials outside their ideal, comes from std[t - 1] degree by degree, so
+the work follows the 9 t^2 survivors of J(lambda:mu), not all
+C(t + 8, 8) monomials.  A monomial ideal's Hilbert function is len(std[t]).
+
+For a general ideal the monomial generators are split off first: their
+degree-t multiples are standard basis vectors, so the Macaulay matrix
+needs only the columns std[t] and the multipliers std[t - deg g] of each
+other generator.  Each of those is cleared of denominators once, and its
+rows are built with array operations as padded (column, integer) pairs,
+never as a dense matrix.  The rows are very sparse (about 2.4 nonzeros per
+row at t = 8 for J(lambda:mu)), so one peel of singleton columns over Z
+(linalg._peel_singletons, on the nonzero pattern) comes first: a column
+whose only nonzero lies in row i makes row i independent, so that part of
+the rank is exact over Q.  Only the remainder is made dense and ranked
+over two fixed 30-bit primes, falling back to exact rationals when they
+disagree.  Every J(lambda:mu) matrix checked (to t = 8 in the tests)
+peels to nothing, so those values are exact over Q and no modular
 elimination runs on them.
 """
 
@@ -43,34 +48,54 @@ def check_packable(nvars: int, t_max: int) -> None:
                          f"into int64: (degree + 1)^{nvars} must be below 2^63")
 
 
-def _packed_bases(nvars: int, t_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Weights and bases[k], the degree-k monomials packed in base t_max + 1.
+def _check_inputs(generators, nvars: int, t_max: int) -> None:
+    """Reject a negative degree and a generator in another number of variables."""
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    for g in generators:
+        width = len(g) if isinstance(g, tuple) else g.nvars
+        if width != nvars:
+            raise ValueError(f"generator {g} is in {width} variables, not {nvars}")
 
-    A monomial x^e packs to sum(e[i] * (t_max + 1)^i), so multiplying two
-    of total degree <= t_max is one integer addition.  Each bases[k] is in
-    descending grevlex order, built by the recursion of
-    mpoly.graded_monomials on packed integers: appending the next
-    variable's exponent e adds e times its weight.  Within one degree that
-    order compares the last exponent first, then the one before it, as
-    the packed integers do, so each bases[k] is also ascending and a
-    searchsorted finds a monomial's index.
-    """
+
+def _packing_weights(nvars: int, t_max: int) -> np.ndarray:
+    """(t_max + 1)^i for each variable i: x^e packs to sum(e[i] * weights[i]),
+    so multiplying two monomials of total degree <= t_max is one addition."""
     check_packable(nvars, t_max)
-    weights = (t_max + 1) ** np.arange(nvars, dtype=np.int64)
-    bases = [np.array([d], dtype=np.int64) for d in range(t_max + 1)]
-    for w in weights[1:]:
-        bases = [np.concatenate([bases[d - e] + e * w for e in range(d + 1)])
-                 for d in range(t_max + 1)]
-    return weights, bases
+    return (t_max + 1) ** np.arange(nvars, dtype=np.int64)
 
 
-def _killed_columns(bases, t: int, monomials) -> np.ndarray:
-    """Mask of the degree-t monomials divisible by a (degree, packed) monomial."""
-    killed = np.zeros(len(bases[t]), dtype=bool)
-    multiples = [e + bases[t - dg] for dg, e in monomials if dg <= t]
-    if multiples:
-        killed[np.searchsorted(bases[t], np.concatenate(multiples))] = True
-    return killed
+def _standard_monomials(nvars: int, t_max: int, monomials) -> list[np.ndarray]:
+    """std[t], the packed degree-t monomials outside the ideal of the
+    (degree, packed) monomial generators, ascending, for t = 0..t_max.
+
+    Ascending packed order is descending grevlex order within one degree,
+    so a searchsorted finds a monomial's index.  A monomial c of degree
+    t >= 1 is standard exactly when c / x_j is standard for every x_j
+    dividing c and c is no generator: a generator dividing c properly also
+    divides one of those c / x_j.  So std[t] comes from the products x_i s,
+    s in std[t - 1]; a product is reached once for each x_j with c / x_j
+    standard, and it is kept when that count is the number of variables
+    dividing it.  That number is carried from degree to degree: x_i s is
+    divided by one more variable than s when x_i does not divide s.  The
+    work follows the standard monomials (9 t^2 for J(lambda:mu)), not all
+    C(t + n - 1, n - 1) of degree t.
+    """
+    weights = _packing_weights(nvars, t_max)
+    std = [np.zeros(0 if any(dg == 0 for dg, _ in monomials) else 1, dtype=np.int64)]
+    support = np.zeros(len(std[0]), dtype=np.int64)
+    for t in range(1, t_max + 1):
+        products, first, reached = np.unique((std[-1][:, None] + weights).ravel(),
+                                             return_index=True, return_counts=True)
+        s, i = np.divmod(first, max(nvars, 1))  # each product first reached as x_i s
+        support = support[s] + (std[-1][s] // weights[i] % (t_max + 1) == 0)
+        keep = reached == support
+        generators = [e for dg, e in monomials if dg == t]
+        if generators:
+            keep &= ~np.isin(products, generators)
+        std.append(products[keep])
+        support = support[keep]
+    return std
 
 
 def monomial_hilbert(generators, nvars: int, t_max: int) -> list[int]:
@@ -78,16 +103,17 @@ def monomial_hilbert(generators, nvars: int, t_max: int) -> list[int]:
 
     Generators are monomial SparsePolys or exponent tuples.
     """
+    generators = list(generators)
+    _check_inputs(generators, nvars, t_max)
     divisors = []
     for g in generators:
         exps = g if isinstance(g, tuple) else monomial_exponents(g)
         if exps is None:
             raise ValueError(f"non-monomial generator {g}")
         divisors.append(exps)
-    weights, bases = _packed_bases(nvars, t_max)
+    weights = _packing_weights(nvars, t_max)
     monomials = [(sum(e), int(np.dot(e, weights))) for e in divisors if sum(e) <= t_max]
-    return [len(base) - int(_killed_columns(bases, t, monomials).sum())
-            for t, base in enumerate(bases)]
+    return [len(s) for s in _standard_monomials(nvars, t_max, monomials)]
 
 
 class SimplicialComplex:
@@ -142,20 +168,25 @@ def stanley_reisner_hilbert(fvec: tuple[int, ...], t: int) -> int:
 
 
 def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
-    """Yield the degree-t Macaulay matrix, as an int64 array, for t = 0..t_max.
+    """Yield the degree-t Macaulay matrix as padded rows (width, cols, vals),
+    for t = 0..t_max.
 
-    Columns killed by monomial generators are found first, with one
-    searchsorted of their packed multiples.  Each non-monomial generator is
-    multiplied once by the lcm of its coefficient denominators, which
-    changes no rank, so a row of one of its multiples is its integer
-    coefficients at the surviving columns.  The rows of all multiples are
-    built at once as (column, coefficient) pairs padded to one width:
-    their columns come in one searchsorted, in ascending order (the
-    generator's terms are sorted once), and the surviving pairs move to
-    the front of each row.  Repeated rows are dropped with the first
-    occurrence kept in order, and the rest are scattered into the matrix.
+    Its columns are std[t], the standard monomials of the monomial
+    generators (their multiples are standard basis vectors of the ideal,
+    which kill those columns).  Each non-monomial generator is multiplied
+    once by the lcm of its coefficient denominators, which changes no
+    rank, so a row of one of its multiples is its integer coefficients at
+    the standard columns; only multipliers in std[t - deg g] can leave
+    one, the others lie in the ideal with all their terms.  The rows of
+    all multiples are built at once as (column, coefficient) pairs padded
+    to one width: their columns come in one searchsorted, in ascending
+    order (the generator's terms are sorted once), and the pairs at
+    standard columns move to the front of each row.  Rows left empty are
+    dropped, and repeated rows too, with the first occurrence kept in
+    order.  Row i holds the integer vals[i, k] at column cols[i, k] while
+    cols[i, k] < width; its padding has column width and value 0.
     """
-    weights, bases = _packed_bases(nvars, t_max)
+    weights = _packing_weights(nvars, t_max)
     monomials, polys = [], []
     for g in generators:
         dg = g.degree()
@@ -175,16 +206,20 @@ def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
         terms = sorted(zip(packed, coeffs))
         polys.append((dg, np.array([e for e, _ in terms], dtype=np.int64),
                       np.array([c for _, c in terms], dtype=np.int64)))
-    for t, base in enumerate(bases):
-        killed = _killed_columns(bases, t, monomials)
-        width = len(base) - int(killed.sum())
-        # surviving columns in order; a killed one maps past the last column
-        column = np.cumsum(~killed) - 1
-        column[killed] = width
-        blocks = [(column[np.searchsorted(base, bases[t - dg][:, None] + packed)], coeffs)
-                  for dg, packed, coeffs in polys if dg <= t]
+    std = _standard_monomials(nvars, t_max, monomials)
+    for t, base in enumerate(std):
+        width = len(base)
+        blocks = []
+        for dg, packed, coeffs in polys:
+            if dg > t or not width:
+                continue
+            products = std[t - dg][:, None] + packed
+            column = np.searchsorted(base, products)
+            # a product outside std[t] is killed: its column is past the last
+            standard = base[np.minimum(column, width - 1)] == products
+            blocks.append((np.where(standard, column, width), coeffs))
         if not blocks:
-            yield np.zeros((0, width), dtype=np.int64)
+            yield width, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
             continue
         span = max(len(c) for _, c in blocks)
         cols = np.full((sum(len(j) for j, _ in blocks), span), width, dtype=np.int64)
@@ -206,21 +241,28 @@ def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
         _, first = np.unique(np.hstack([cols, vals]), axis=0, return_index=True)
         kept = np.zeros(len(cols), dtype=bool)
         kept[first] = True  # first occurrences, in their order
-        cols, vals = cols[kept], vals[kept]
-        # padding repeats each row's first entry, so the scatter writes it twice
-        pad = cols == width
-        cols = np.where(pad, cols[:, :1], cols)
-        vals = np.where(pad, vals[:, :1], vals)
-        mat = np.zeros((len(cols), width), dtype=np.int64)
-        np.put_along_axis(mat, cols, vals, axis=1)
-        yield mat
+        yield width, cols[kept], vals[kept]
 
 
-def _macaulay_rank(mat: np.ndarray, primes: tuple[int, int] = RANK_PRIMES) -> int:
-    """Rank of an integer matrix: its singleton peel over Z, which is exact
-    over Q, plus the remainder's common rank mod both primes, or the
-    remainder's rank over Q if they disagree."""
-    peeled, rest = _peel_singletons(mat)
+def _scatter(width: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The dense int64 matrix of padded rows; padding writes a 0 past column width."""
+    mat = np.zeros((len(cols), width + 1), dtype=np.int64)
+    mat[np.arange(len(cols))[:, None], cols] = vals
+    return mat[:, :width]
+
+
+def _macaulay_rank(width: int, cols: np.ndarray, vals: np.ndarray,
+                   primes: tuple[int, int] = RANK_PRIMES) -> int:
+    """Rank of an integer matrix given as padded rows: its singleton peel
+    over Z, which is exact over Q, plus the remainder's common rank mod
+    both primes, or the remainder's rank over Q if they disagree.  Only
+    the remainder is made dense."""
+    nz_rows, slots = np.nonzero(cols < width)  # rows ascending
+    peeled, live_rows, live_cols = _peel_singletons(
+        nz_rows, cols[nz_rows, slots], (len(cols), width))
+    remap = np.full(width + 1, len(live_cols), dtype=np.int64)
+    remap[live_cols] = np.arange(len(live_cols))
+    rest = _scatter(len(live_cols), remap[cols[live_rows]], vals[live_rows])
     ranks = {rank_mod(rest, p) for p in primes}
     return peeled + (ranks.pop() if len(ranks) == 1 else rank_fraction(rest.tolist()))
 
@@ -233,18 +275,19 @@ def graded_hilbert(
 ) -> list[int]:
     """values[t] = C(t+n-1, n-1) - dim of the degree-t piece of the ideal.
 
-    Each degree's integer Macaulay matrix is peeled of its singleton
-    columns over Z, which is exact over Q; only the remainder's rank is
-    modular (the common rank mod both primes, or its rank over Q if they
-    disagree).  J(lambda:mu) matrices peel to nothing, so their values are
-    exact.
+    Each degree's integer Macaulay matrix, over the standard monomials of
+    the monomial generators, is peeled of its singleton columns over Z,
+    which is exact over Q; only the remainder's rank is modular (the
+    common rank mod both primes, or its rank over Q if they disagree).
+    J(lambda:mu) matrices peel to nothing, so their values are exact.
     """
     gens = list(generators)
+    _check_inputs(gens, nvars, t_max)
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError(f"inhomogeneous generator {g}")
-    return [mat.shape[1] - _macaulay_rank(mat, primes)
-            for mat in _macaulay_matrices(gens, nvars, t_max)]
+    return [width - _macaulay_rank(width, cols, vals, primes)
+            for width, cols, vals in _macaulay_matrices(gens, nvars, t_max)]
 
 
 def abelian_surface_profile(t_max: int) -> list[int]:

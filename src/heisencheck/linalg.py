@@ -37,28 +37,29 @@ def rank_fraction(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _peel_singletons(A: np.ndarray) -> tuple[int, np.ndarray]:
-    """Peel the rows that hold a column's only nonzero: (peeled, remainder).
+def _peel_singletons(nz_rows: np.ndarray, nz_cols: np.ndarray, shape: tuple[int, int]):
+    """Peel the rows that hold a column's only nonzero: (peeled, live rows,
+    live columns) of the matrix whose nonzeros are at (nz_rows[k],
+    nz_cols[k]), with nz_rows ascending.
 
     If column j has one nonzero, in row i, no combination of the other rows
     reaches column j, so rank(A) = 1 + rank(A without row i).  Removing the
     row can leave further singleton columns; peeling repeats until none is
     left (the first step of structured Gaussian elimination, LaMacchia and
-    Odlyzko, CRYPTO '90).  The remainder keeps the other rows and the
-    columns that still hold a nonzero, so rank(A) = peeled + its rank; if
-    nothing peels, it is A itself.
+    Odlyzko, CRYPTO '90).  The remainder is the rows not peeled and the
+    columns that still hold a nonzero, both ascending, so rank(A) =
+    peeled + its rank.
 
     Each column keeps its count of live nonzeros and the sum of their row
     indices, which names the row once the count is 1; removing a row
-    updates only its own columns, so the peel costs O(nnz) after one pass
-    over A.  A matrix with no singleton column pays one column count.
+    updates only its own columns, so the peel costs O(nnz) and never needs
+    A itself.  A matrix with no singleton column pays one column count.
     """
-    rows, cols = A.shape
-    nz_rows, nz_cols = np.divmod(np.flatnonzero(A != 0), cols)
+    rows, cols = shape
     count = np.bincount(nz_cols, minlength=cols)
     stack = np.flatnonzero(count == 1).tolist()
     if not stack:
-        return 0, A
+        return 0, np.arange(rows), np.flatnonzero(count)
     starts = np.searchsorted(nz_rows, np.arange(rows + 1)).tolist()
     row_sum = np.bincount(nz_cols, weights=nz_rows, minlength=cols).astype(np.int64).tolist()
     count = count.tolist()
@@ -77,7 +78,7 @@ def _peel_singletons(A: np.ndarray) -> tuple[int, np.ndarray]:
                 stack.append(c)
     live = np.ones(rows, dtype=bool)
     live[peeled] = False
-    return len(peeled), A[np.ix_(np.flatnonzero(live), np.flatnonzero(count))]
+    return len(peeled), np.flatnonzero(live), np.flatnonzero(count)
 
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:
@@ -86,15 +87,15 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
 
     Entries are reduced into [0, p), so every product of two of them stays
     below p^2 < 2^62 and no intermediate overflows int64.  Singleton
-    columns of A mod p are peeled first: a column with one nonzero, in
-    row i, makes row i independent of the others, so rank = 1 + the rank
-    without row i, repeated in O(nnz) until no column has one nonzero (an
-    entry that is a multiple of p counts as zero).  On the rows and
-    columns left, each pivot updates only the rows below it with a nonzero
-    in the pivot column, a small share on sparse Macaulay matrices.
+    columns of A mod p are peeled first (_peel_singletons, where an entry
+    that is a multiple of p counts as zero).  On the rows and columns
+    left, each pivot updates only the rows below it with a nonzero in the
+    pivot column, a small share on sparse Macaulay matrices.
     """
     check_modulus(p)
-    peeled, A = _peel_singletons(np.asarray(matrix, dtype=np.int64) % p)
+    A = np.asarray(matrix, dtype=np.int64) % p
+    peeled, live_rows, live_cols = _peel_singletons(*np.nonzero(A), A.shape)
+    A = A[np.ix_(live_rows, live_cols)]
     rows, cols = A.shape
     r = 0
     for c in range(cols):

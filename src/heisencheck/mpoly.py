@@ -315,6 +315,8 @@ def graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if nvars == 0:
+        return [()] if degree == 0 else []
     # by_degree[d]: the vectors of degree d in the first k variables, in order
     by_degree = [[(d,)] for d in range(degree + 1)]
     for _ in range(nvars - 1):

@@ -9,7 +9,13 @@ from operator import mul
 import numpy as np
 
 from heisencheck.chartab import character_table, enumerate_group, inverse, multiply
-from heisencheck.exactnum import CycloNum, cyclotomic_polynomial, euler_phi, prime_factors
+from heisencheck.exactnum import (
+    CycloNum,
+    cyclotomic_polynomial,
+    euler_phi,
+    nth_root_in_prime_field,
+    prime_factors,
+)
 from heisencheck.ffscan import (
     SCAN_BLOCK,
     StratumCensus,
@@ -20,7 +26,7 @@ from heisencheck.ffscan import (
     projective_point_count,
 )
 from heisencheck.heisenberg import s_matrix, sigma, tau
-from heisencheck.linalg import rank_fraction, rank_mod
+from heisencheck.linalg import _peel_singletons, rank_fraction, rank_mod
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
 
@@ -148,6 +154,12 @@ def row_loop_macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: 
 # -- the whole-matrix path behind hilbert._macaulay_rank's peel over Z --------
 
 
+def peel_dense(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """linalg._peel_singletons on a dense matrix: (peeled, the remainder)."""
+    peeled, rows, cols = _peel_singletons(*np.nonzero(matrix), matrix.shape)
+    return peeled, matrix[np.ix_(rows, cols)]
+
+
 def two_prime_rank(matrix: np.ndarray, primes: tuple[int, int]) -> int:
     """Rank of the whole matrix mod each prime, over Q if the two disagree."""
     ranks = {rank_mod(matrix, p) for p in primes}
@@ -157,12 +169,19 @@ def two_prime_rank(matrix: np.ndarray, primes: tuple[int, int]) -> int:
 # -- the slow path behind hilbert.monomial_hilbert ------------------------------
 
 
+def divisor_loop_standard(generators, nvars: int, t_max: int) -> list[list[tuple]]:
+    """The degree-t monomials no divisor divides, each tested against every
+    divisor, in graded_monomials order; the slow path behind
+    hilbert._standard_monomials."""
+    divisors = [g if isinstance(g, tuple) else monomial_exponents(g) for g in generators]
+    return [[m for m in graded_monomials(nvars, t)
+             if not any(all(a <= b for a, b in zip(d, m)) for d in divisors)]
+            for t in range(t_max + 1)]
+
+
 def divisor_loop_hilbert(generators, nvars: int, t_max: int) -> list[int]:
     """Every degree-t monomial tested against every divisor."""
-    divisors = [g if isinstance(g, tuple) else monomial_exponents(g) for g in generators]
-    return [sum(not any(all(a <= b for a, b in zip(d, m)) for d in divisors)
-                for m in graded_monomials(nvars, t))
-            for t in range(t_max + 1)]
+    return [len(s) for s in divisor_loop_standard(generators, nvars, t_max)]
 
 
 # -- the slow paths behind ffscan.point_blocks and ffscan.common_zeros ---------
@@ -196,6 +215,20 @@ def scan_common_zeros(polys: list[SparsePoly], ncoords: int, q: int) -> np.ndarr
     for f in polys:
         mask &= evaluate_poly_batch(f, pts, q) == 0
     return pts[mask]
+
+
+# -- the slow path behind ffscan._least_table ----------------------------------
+
+
+def whole_field_least_table(h: int, q: int) -> np.ndarray:
+    """least[v]: v < v xi^j mod q for every j = 1..h-1, with every unit of
+    F_q compared at once (several q-long temporaries)."""
+    xi = nth_root_in_prime_field(h, q)
+    x = np.arange(1, q, dtype=np.int64)
+    least = np.ones(q - 1, dtype=bool)
+    for j in range(1, h):
+        least &= x < x * pow(xi, j, q) % q
+    return np.concatenate(([False], least))
 
 
 # -- the slow path behind ffscan.scan_strata: every canonical point ranked ----

@@ -304,6 +304,12 @@ def test_hilbert_subcommand(capsys):
     assert "t=0: 1" in capsys.readouterr().out
 
 
+def test_hilbert_subcommand_at_degree_12(capsys):
+    assert main(["hilbert", "--lambda", "3", "--mu", "7", "--max-deg", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "t=12: 1296" in out and "deviates" not in out
+
+
 def test_hilbert_rejects_lambda_mu_beyond_int64(capsys, monkeypatch):
     assert main(["hilbert", f"--lambda={2 ** 63 - 1}", "--mu=1", "--max-deg=2"]) == 0
     assert "t=2: 36" in capsys.readouterr().out

@@ -43,6 +43,7 @@ from oracles import (
     full_scan_strata,
     scan_common_zeros,
     search_nth_root,
+    whole_field_least_table,
 )
 
 # the largest q the census accepts, 2^31 - 1, and the largest q the
@@ -772,10 +773,30 @@ def test_every_orbit_meets_the_representatives_once():
 
 @pytest.mark.parametrize("q", [23, 67, 89, 199])
 def test_coset_representatives_are_the_least_of_each_coset(q):
-    units = ffscan.coset_representatives(11, q)
+    units = np.flatnonzero(ffscan._least_table(11, q))
     assert units.tolist() == _least_coset_representatives(11, q)
     assert len(units) == (q - 1) // 11
-    assert ffscan.coset_representatives(1, q) is None
+
+
+@pytest.mark.parametrize("q", [23, 67, 199, 262153])
+def test_least_table_matches_the_whole_field_comparison(q):
+    # 262153 = 2 SCAN_BLOCK + 9: two whole slices and a short one
+    assert np.array_equal(ffscan._least_table(11, q), whole_field_least_table(11, q))
+    assert ffscan._least_table(1, q) is None
+
+
+def test_least_table_is_built_in_block_sized_slices():
+    # q = 11 * 909098 + 1: beside the q-byte table only SCAN_BLOCK-long
+    # temporaries are alive, where the whole field at once peaks near 240 MB
+    q = 10000079
+    tracemalloc.start()
+    try:
+        least = ffscan._least_table(11, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert np.count_nonzero(least) == (q - 1) // 11 and not least[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +10,15 @@ from heisencheck.hilbert import (
     SimplicialComplex,
     _macaulay_matrices,
     _macaulay_rank,
-    _packed_bases,
+    _scatter,
+    _standard_monomials,
     abelian_surface_profile,
     face_vector,
     graded_hilbert,
     monomial_hilbert,
     stanley_reisner_hilbert,
 )
-from heisencheck.linalg import _peel_singletons, rank_fraction, rank_mod
+from heisencheck.linalg import rank_fraction, rank_mod
 from heisencheck.mpoly import SparsePoly, graded_monomials
 from heisencheck.surface9 import (
     j1_generators,
@@ -29,12 +31,38 @@ from oracles import (
     degree_rows,
     dense_rank_mod,
     divisor_loop_hilbert,
+    divisor_loop_standard,
+    peel_dense,
     project_rows,
     row_loop_macaulay_matrices,
     two_prime_rank,
 )
 
 TORUS_PROFILE = [1, 9, 36, 81, 144, 225]
+
+
+def _dense_macaulay_matrices(gens, nvars, t_max):
+    """Each degree's padded rows scattered into a dense int64 matrix."""
+    for width, cols, vals in _macaulay_matrices(gens, nvars, t_max):
+        assert cols.dtype == vals.dtype == np.int64 and cols.shape == vals.shape
+        # padding has column width and value 0, after the row's entries
+        pad = cols == width
+        assert (vals[pad] == 0).all() and (vals[~pad] != 0).all()
+        assert (np.diff(pad.view(np.int8), axis=1) >= 0).all()
+        yield _scatter(width, cols, vals)
+
+
+def _padded(mat):
+    """(width, cols, vals) of a dense integer matrix, padded as
+    _macaulay_matrices pads its rows."""
+    width = mat.shape[1]
+    span = int(np.count_nonzero(mat, axis=1).max(initial=0))
+    cols = np.full((len(mat), span), width, dtype=np.int64)
+    vals = np.zeros_like(cols)
+    for i, row in enumerate(mat):
+        j = np.flatnonzero(row)
+        cols[i, :len(j)], vals[i, :len(j)] = j, row[j]
+    return width, cols, vals
 
 
 def test_rank_primes_are_30_bit_primes():
@@ -164,7 +192,7 @@ def test_torus_family_reaches_9t2_at_degree_8():
 def test_one_pass_rows_match_the_two_pass_oracle(gens):
     # each integer row is a nonzero rational multiple of the oracle's row, in
     # the oracle's order, so both ranks see the oracle's row space
-    built = list(_macaulay_matrices(gens, 9, 7))
+    built = list(_dense_macaulay_matrices(gens, 9, 7))
     assert len(built) == 8
     for t, mat in enumerate(built):
         ncols, killed, poly_rows = degree_rows(gens, 9, t)
@@ -176,16 +204,85 @@ def test_one_pass_rows_match_the_two_pass_oracle(gens):
             assert len({row[j] / v for j, v in entries}) == 1, t
 
 
+def _pack(exps, t_max):
+    return sum(e * (t_max + 1) ** i for i, e in enumerate(exps))
+
+
 @pytest.mark.parametrize("nvars, t_max", [(1, 4), (3, 5), (9, 4), (62, 1)])
 def test_packed_bases_are_the_graded_monomials_packed(nvars, t_max):
-    weights, bases = _packed_bases(nvars, t_max)
-    assert weights.tolist() == [(t_max + 1) ** i for i in range(nvars)]
-    for k, base in enumerate(bases):
+    # with no generators every monomial is standard
+    std = _standard_monomials(nvars, t_max, [])
+    assert len(std) == t_max + 1
+    for k, base in enumerate(std):
         assert base.dtype == np.int64
-        packed = [sum(e * w for e, w in zip(exps, weights.tolist()))
-                  for exps in graded_monomials(nvars, k)]
-        assert base.tolist() == packed
+        assert base.tolist() == [_pack(exps, t_max) for exps in graded_monomials(nvars, k)]
         assert (np.diff(base) > 0).all()  # the lookups are searchsorted
+
+
+@st.composite
+def _standard_cases(draw):
+    """(generators, nvars, t_max): exponent tuples in 0 to 5 variables,
+    some of degree 0, some above t_max, some repeated."""
+    nvars = draw(st.integers(0, 5))
+    t_max = draw(st.integers(0, 6 if nvars < 4 else 4))
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        if gens and draw(st.integers(0, 4)) == 0:
+            gens.append(draw(st.sampled_from(gens)))
+            continue
+        exps = st.integers(0, draw(st.sampled_from((1, 3, t_max + 2))))
+        gens.append(tuple(draw(st.lists(exps, min_size=nvars, max_size=nvars))))
+    return gens, nvars, t_max
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_standard_cases())
+@example(([(0, 0, 0)], 3, 2))  # the unit ideal
+@example(([(0, 5), (2, 0), (2, 0)], 2, 3))  # above t_max, and repeated
+@example(([()], 0, 2))
+@example(([], 0, 3))
+def test_standard_monomials_match_the_divisor_loop(case):
+    gens, nvars, t_max = case
+    monomials = [(sum(e), _pack(e, t_max)) for e in gens if sum(e) <= t_max]
+    std = _standard_monomials(nvars, t_max, monomials)
+    want = divisor_loop_standard(gens, nvars, t_max)
+    assert [s.tolist() for s in std] == [[_pack(m, t_max) for m in ms] for ms in want]
+    assert monomial_hilbert(gens, nvars, t_max) == [len(ms) for ms in want]
+
+
+def test_the_ring_in_no_variables_is_the_field():
+    assert monomial_hilbert([], 0, 2) == graded_hilbert([], 0, 2) == [1, 0, 0]
+    assert monomial_hilbert([()], 0, 2) == [0, 0, 0]
+    assert monomial_hilbert([], 0, 0) == graded_hilbert([], 0, 0) == [1]
+
+
+def test_generators_in_another_number_of_variables_are_rejected():
+    x = SparsePoly.variable(4, 0)
+    with pytest.raises(ValueError, match="in 4 variables, not 3"):
+        graded_hilbert([SparsePoly.variable(3, 0), x], 3, 2)
+    with pytest.raises(ValueError, match="in 4 variables, not 3"):
+        monomial_hilbert([x], 3, 2)
+    with pytest.raises(ValueError, match=r"generator \(1, 0\) is in 2 variables, not 3"):
+        monomial_hilbert([(1, 0)], 3, 2)
+
+
+def test_a_negative_degree_is_rejected():
+    for hilbert in (monomial_hilbert, graded_hilbert):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            hilbert([SparsePoly.variable(3, 0)], 3, -1)
+
+
+def test_degree_12_stays_within_the_standard_monomials():
+    # the columns are the 9 t^2 standard monomials, not all C(t + 8, 8)
+    gens = j_family(3, 7).generators()
+    tracemalloc.start()
+    try:
+        profile = graded_hilbert(gens, 9, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile == abelian_surface_profile(12)
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("nvars, t_max", [(20, 8), (9, 127), (63, 1)])
@@ -257,7 +354,7 @@ _ROWS_EQUAL_AFTER_KILLING = (
 @example(_ROWS_EQUAL_AFTER_KILLING)
 def test_macaulay_matrices_match_the_row_loop_oracle(case):
     gens, nvars, t_max = case
-    built = list(_macaulay_matrices(gens, nvars, t_max))
+    built = list(_dense_macaulay_matrices(gens, nvars, t_max))
     oracle = list(row_loop_macaulay_matrices(gens, nvars, t_max))
     assert len(built) == len(oracle) == t_max + 1
     for t, (mat, want) in enumerate(zip(built, oracle)):
@@ -269,7 +366,8 @@ def test_macaulay_matrices_match_the_row_loop_oracle(case):
 def test_macaulay_matrices_match_the_row_loop_oracle_on_the_family():
     for gens in (j_family(3, 7).generators(), j_family(Fraction(2, 3), Fraction(-5, 7)).generators(),
                  j_family(0, 1).generators(), v_dot_R4([0, 1, 0, 0, 0])):
-        for mat, want in zip(_macaulay_matrices(gens, 9, 6), row_loop_macaulay_matrices(gens, 9, 6)):
+        for mat, want in zip(_dense_macaulay_matrices(gens, 9, 6),
+                             row_loop_macaulay_matrices(gens, 9, 6), strict=True):
             assert mat.dtype == want.dtype and mat.shape == want.shape
             assert np.array_equal(mat, want)
 
@@ -294,20 +392,23 @@ def test_cubic_gap_at_generic_image():
 @pytest.mark.parametrize("lam, mu", [(1, 1), (3, 7), (Fraction(2, 3), Fraction(-5, 7))])
 def test_j_family_macaulay_matrices_peel_to_nothing(lam, mu):
     # every row holds the last nonzero of some column, so no pivot is needed
-    for mat in _macaulay_matrices(j_family(lam, mu).generators(), 9, 8):
+    for width, cols, vals in _macaulay_matrices(j_family(lam, mu).generators(), 9, 8):
+        mat = _scatter(width, cols, vals)
         for reduced in (mat, *(mat % p for p in RANK_PRIMES)):
-            peeled, rest = _peel_singletons(reduced)
+            peeled, rest = peel_dense(reduced)
             assert (peeled, rest.size) == (len(mat), 0)
+        assert _macaulay_rank(width, cols, vals) == len(mat)
 
 
 def test_cubic_gap_matrix_peels_nine_rows():
     v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-    mat = list(_macaulay_matrices(v_dot_R4(v), 9, 3))[3]
+    width, cols, vals = list(_macaulay_matrices(v_dot_R4(v), 9, 3))[3]
+    mat = _scatter(width, cols, vals)
     assert mat.shape == (81, 165)
     for reduced in (mat, *(mat % p for p in RANK_PRIMES)):
-        peeled, rest = _peel_singletons(reduced)
+        peeled, rest = peel_dense(reduced)
         assert (peeled, rest.shape) == (9, (72, 153))
-    assert _macaulay_rank(mat) == 78
+    assert _macaulay_rank(width, cols, vals) == 78
     for p in RANK_PRIMES:
         assert rank_mod(mat, p) == dense_rank_mod(mat, p) == 78
 
@@ -356,9 +457,11 @@ def _small_integer_matrices(draw):
 @example(np.array([[_P1, 0, 0], [0, _P1 * _P2, _P1 * _P2], [0, _P1 * _P2, _P1 * _P2]]))
 def test_the_peel_over_z_is_exact_over_q(mat):
     exact = rank_fraction(mat.tolist())
-    peeled, rest = _peel_singletons(mat)
+    peeled, rest = peel_dense(mat)
     assert peeled + rank_fraction(rest.tolist()) == exact
-    rank = _macaulay_rank(mat)
+    padded = _padded(mat)
+    assert np.array_equal(_scatter(*padded), mat)
+    rank = _macaulay_rank(*padded)
     whole = {p: rank_mod(mat, p) for p in RANK_PRIMES}
     # never below what either prime sees on the whole matrix, so never
     # below the whole-matrix oracle when its two primes agree

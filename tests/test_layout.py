@@ -21,8 +21,9 @@ CALLERS = (PACKAGE, ROOT / "perfbench")
 
 ALLOWED = {
     "heisenberg.iota": "the index involution is one of the actions the README describes",
-    "mpoly.graded_monomials": "perfbench/tracer.py traces it by name, and hilbert's packed "
-                              "bases follow its recursion (tests compare the two)",
+    "mpoly.graded_monomials": "perfbench/tracer.py traces it by name, and with no generators "
+                              "hilbert's standard monomials are its output packed (tests "
+                              "compare the two)",
 }
 
 

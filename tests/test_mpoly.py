@@ -179,6 +179,12 @@ def test_graded_monomials_counts():
     assert mons == sorted(mons, key=grevlex_key, reverse=True)
 
 
+def test_graded_monomials_in_no_variables():
+    # the ring in no variables is the field: only the empty monomial, in degree 0
+    assert graded_monomials(0, 0) == [()]
+    assert graded_monomials(0, 1) == graded_monomials(0, 4) == []
+
+
 def test_graded_monomials_match_the_sorting_oracle():
     for nvars in range(1, 10):
         for degree in range(9):
