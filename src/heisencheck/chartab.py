@@ -60,23 +60,28 @@ def element_power(a, k: int):
     return acc
 
 
+def _closure(start, step) -> frozenset:
+    """Everything reachable from start by repeated step(x), breadth-first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in step(x):
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(seen)
+
+
 @lru_cache(maxsize=None)
 def enumerate_group() -> frozenset:
     """Closure of {S, T} under multiplication; must have 660 elements."""
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in (GEN_S, GEN_T):
-                x = multiply(g, h)
-                if x not in seen:
-                    seen.add(x)
-                    fresh.append(x)
-        frontier = fresh
-    if len(seen) != GROUP_ORDER:
-        raise AssertionError(f"group closure has {len(seen)} elements, expected {GROUP_ORDER}")
-    return frozenset(seen)
+    group = _closure(IDENTITY, lambda g: (multiply(g, h) for h in (GEN_S, GEN_T)))
+    if len(group) != GROUP_ORDER:
+        raise AssertionError(f"group closure has {len(group)} elements, expected {GROUP_ORDER}")
+    return group
 
 
 @dataclass(frozen=True)
@@ -121,20 +126,13 @@ def conjugacy_classes() -> tuple[frozenset, ...]:
     """
     table = character_table()
     conjugators = [(g, inverse(g)) for g in (GEN_S, GEN_T)]
+
+    def conjugates(x):
+        return (multiply(multiply(g, x), g_inv) for g, g_inv in conjugators)
+
     classes = []
     for rep, size in zip(table.representatives, table.class_sizes):
-        seen = {rep}
-        frontier = [rep]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g, g_inv in conjugators:
-                    y = multiply(multiply(g, x), g_inv)
-                    if y not in seen:
-                        seen.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        orbit = frozenset(seen)
+        orbit = _closure(rep, conjugates)
         if len(orbit) != size:
             raise AssertionError(f"class of {rep} has size {len(orbit)}, expected {size}")
         classes.append(orbit)

@@ -119,7 +119,6 @@ class RunConfig:
     scan_prime_d11: int = 23
     t_max: int = 5
     lambda_mu_samples: tuple[tuple[int, int], ...] = ((0, 1), (1, 1), (1, 2), (2, 1), (1, 0))
-    rank_primes: tuple[int, int] = RANK_PRIMES
     report_path: str | None = None
     format: str = "text"
 
@@ -150,19 +149,16 @@ class RunConfig:
             raise ValueError("lambda_mu_samples: need at least two distinct points of P^1")
         if not self.jacobian_primes:
             raise ValueError("jacobian_primes: need at least one odd prime")
-        if len(self.rank_primes) != 2 or self.rank_primes[0] == self.rank_primes[1]:
-            raise ValueError("rank_primes: need exactly two distinct primes")
-        for name in ("jacobian_primes", "rank_primes"):
-            for q in getattr(self, name):
-                try:
-                    check_modulus(q)  # tests the bound before the primality test
-                    # the factor 2 in the Jacobian quadrics vanishes over F_2
-                    if name == "jacobian_primes" and q == 2:
-                        raise ValueError(f"q = {q} is not an odd prime")
-                except ValueError as exc:
-                    if name == "jacobian_primes" and "not prime" in str(exc):
-                        exc = f"q = {q} is not an odd prime"
-                    raise ValueError(f"{name}: {exc}") from None
+        for q in self.jacobian_primes:
+            try:
+                check_modulus(q)  # tests the bound before the primality test
+                # the factor 2 in the Jacobian quadrics vanishes over F_2
+                if q == 2:
+                    raise ValueError(f"q = {q} is not an odd prime")
+            except ValueError as exc:
+                if "not prime" in str(exc):
+                    exc = f"q = {q} is not an odd prime"
+                raise ValueError(f"jacobian_primes: {exc}") from None
 
 
 class RunContext:
@@ -488,7 +484,7 @@ def check_hilbert_monomial(ctx: RunContext):
     t_max = ctx.config.t_max
     expected = abelian_surface_profile(t_max)
     mono = monomial_hilbert(j1_generators(), 9, t_max)
-    graded = graded_hilbert(j1_generators(), 9, t_max, ctx.config.rank_primes)
+    graded = graded_hilbert(j1_generators(), 9, t_max)
     ok = mono == expected and graded == mono
     return (PASS if ok else FAIL), {
         "profile": mono,
@@ -522,8 +518,7 @@ def check_hilbert_flatness(ctx: RunContext):
     # the samples share one Hilbert function, the flatness evidence, when each has the target
     t_max = ctx.config.t_max
     profiles = {
-        f"{lam}:{mu}": graded_hilbert(j_family(lam, mu).generators(), 9, t_max,
-                                      ctx.config.rank_primes)
+        f"{lam}:{mu}": graded_hilbert(j_family(lam, mu).generators(), 9, t_max)
         for lam, mu in ctx.config.lambda_mu_samples
     }
     target = abelian_surface_profile(t_max)
@@ -531,15 +526,15 @@ def check_hilbert_flatness(ctx: RunContext):
     return (PASS if ok else FAIL), {
         "profiles": profiles,
         "target": target,
-        "rank_primes": list(ctx.config.rank_primes),
+        "rank_primes": list(RANK_PRIMES),
     }
 
 
 def check_hilbert_cubicgap(ctx: RunContext):
     # a kernel-map image away from the degeneration locus
     v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-    generic = graded_hilbert(v_dot_R4(v), 9, 3, ctx.config.rank_primes)
-    monomial_fiber = graded_hilbert(v_dot_R4([0, 1, 0, 0, 0]), 9, 3, ctx.config.rank_primes)
+    generic = graded_hilbert(v_dot_R4(v), 9, 3)
+    monomial_fiber = graded_hilbert(v_dot_R4([0, 1, 0, 0, 0]), 9, 3)
     deficit = generic[3] - 81
     ok = deficit == 6
     return (PASS if ok else FAIL), {

@@ -116,7 +116,6 @@ def build_config(args) -> RunConfig:
             "scan_prime_d11": ("scan_prime_d11", int),
             "t_max": ("t_max", int),
             "lambda_mu_samples": ("lambda_mu_samples", _parse_samples),
-            "rank_primes": ("rank_primes", _parse_int_list),
             "report": ("report_path", str),
             "format": ("format", str),
         }

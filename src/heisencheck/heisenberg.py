@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import CycloNum
+from .linalg import RowBasis
 from .mpoly import SparsePoly
 from .pfaffian import SkewMatrix
 from . import golden
@@ -89,52 +90,14 @@ def v_dot_R(v, d: int) -> list[SparsePoly]:
 # -- span membership -------------------------------------------------------------
 
 
-class _SparseRowBasis:
-    """Incremental row reduction of monomial-keyed rows.
-
-    Rows keep the coefficients of the polynomials they come from, so the
-    arithmetic is over Q when those are Fractions and over Q(xi_n) when
-    they are CycloNums.
-    """
-
-    def __init__(self) -> None:
-        self.pivots: dict = {}  # leading monomial -> reduced row dict, monic
-
-    def _reduce(self, row: dict) -> dict:
-        while row:
-            lead = max(row)
-            if lead not in self.pivots:
-                return row
-            pivot = self.pivots[lead]
-            factor = row[lead]
-            for m, c in pivot.items():
-                v = row.get(m, 0) - factor * c
-                if v:
-                    row[m] = v
-                else:
-                    row.pop(m, None)
-        return row
-
-    def contains(self, f: SparsePoly) -> bool:
-        return not self._reduce(dict(f.terms))
-
-    def insert(self, f: SparsePoly) -> None:
-        row = self._reduce(dict(f.terms))
-        if not row:
-            return
-        lead = max(row)
-        inv = 1 / row[lead]
-        self.pivots[lead] = {m: inv * c for m, c in row.items()}
-
-
-def _weight_components(f: SparsePoly, d: int) -> list[SparsePoly]:
-    """f split by the weight sum(i * e_i) mod d of its monomials; tau scales
-    the component of weight w by xi^(-w)."""
+def _weight_components(f: SparsePoly, d: int) -> list[dict]:
+    """The terms of f split by the weight sum(i * e_i) mod d of their
+    monomials; tau scales the component of weight w by xi^(-w)."""
     parts: dict[int, dict] = {}
     for exps, c in f.terms.items():
         w = sum(i * e for i, e in enumerate(exps)) % d
         parts.setdefault(w, {})[exps] = c
-    return [SparsePoly(f.nvars, terms) for terms in parts.values()]
+    return list(parts.values())
 
 
 def span_is_group_invariant(polys: list[SparsePoly], d: int) -> bool:
@@ -142,18 +105,19 @@ def span_is_group_invariant(polys: list[SparsePoly], d: int) -> bool:
 
     tau acts on the weight-w component of each f by the scalar xi^(-w), and
     these d scalars are distinct, so W is tau-stable exactly when every
-    weight component of every spanning f lies in W.  That membership is
-    tested in the field of the coefficients: a rational vector lies in the
-    Q(xi_d)-span of rational vectors exactly when it lies in their Q-span.
+    weight component of every spanning f lies in W, that is, when none is
+    independent of a basis of W.  That is tested in the field of the
+    coefficients: a rational vector lies in the Q(xi_d)-span of rational
+    vectors exactly when it lies in their Q-span.
     """
-    basis = _SparseRowBasis()
+    basis = RowBasis()
     for f in polys:
-        basis.insert(f)
+        basis.insert(f.terms)
     for f in polys:
-        if not basis.contains(sigma(f, d)):
+        if basis.insert(sigma(f, d).terms):
             return False
         parts = _weight_components(f, d)
-        if len(parts) > 1 and not all(basis.contains(g) for g in parts):
+        if len(parts) > 1 and any(basis.insert(g) for g in parts):
             return False
     return True
 

@@ -1,5 +1,5 @@
 """Hilbert functions: combinatorial for monomial ideals, degreewise linear
-algebra for general homogeneous ideals, and flatness evidence for families.
+algebra for general homogeneous ideals.
 
 Monomials are packed into int64 in base t_max + 1, so every product is an
 addition and every lookup one searchsorted.  Everything is built over the
@@ -18,10 +18,10 @@ row at t = 8 for J(lambda:mu)), so one peel of singleton columns over Z
 (linalg._peel_singletons, on the nonzero pattern) comes first: a column
 whose only nonzero lies in row i makes row i independent, so that part of
 the rank is exact over Q.  Only the remainder is made dense and ranked
-over two fixed 30-bit primes, falling back to exact rationals when they
-disagree.  Every J(lambda:mu) matrix checked (to t = 8 in the tests)
-peels to nothing, so those values are exact over Q and no modular
-elimination runs on them.
+over the two fixed 30-bit primes RANK_PRIMES, falling back to exact
+rationals when they disagree.  Every J(lambda:mu) matrix checked (to
+t = 8 in the tests) peels to nothing, so those values are exact over Q
+and no modular elimination runs on them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .linalg import _peel_singletons, rank_fraction, rank_mod
 from .mpoly import SparsePoly, monomial_exponents
 
-# Two 30-bit primes away from 2, 3, 5, 11; recorded in the run config.
+# Two 30-bit primes away from 2, 3, 5, 11; d9.hilbert.flatness reports them.
 RANK_PRIMES = (1073741789, 1073741783)
 
 
@@ -251,11 +251,10 @@ def _scatter(width: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return mat[:, :width]
 
 
-def _macaulay_rank(width: int, cols: np.ndarray, vals: np.ndarray,
-                   primes: tuple[int, int] = RANK_PRIMES) -> int:
+def _macaulay_rank(width: int, cols: np.ndarray, vals: np.ndarray) -> int:
     """Rank of an integer matrix given as padded rows: its singleton peel
     over Z, which is exact over Q, plus the remainder's common rank mod
-    both primes, or the remainder's rank over Q if they disagree.  Only
+    both RANK_PRIMES, or the remainder's rank over Q if they disagree.  Only
     the remainder is made dense."""
     nz_rows, slots = np.nonzero(cols < width)  # rows ascending
     peeled, live_rows, live_cols = _peel_singletons(
@@ -263,22 +262,17 @@ def _macaulay_rank(width: int, cols: np.ndarray, vals: np.ndarray,
     remap = np.full(width + 1, len(live_cols), dtype=np.int64)
     remap[live_cols] = np.arange(len(live_cols))
     rest = _scatter(len(live_cols), remap[cols[live_rows]], vals[live_rows])
-    ranks = {rank_mod(rest, p) for p in primes}
+    ranks = {rank_mod(rest, p) for p in RANK_PRIMES}
     return peeled + (ranks.pop() if len(ranks) == 1 else rank_fraction(rest.tolist()))
 
 
-def graded_hilbert(
-    generators,
-    nvars: int,
-    t_max: int,
-    primes: tuple[int, int] = RANK_PRIMES,
-) -> list[int]:
+def graded_hilbert(generators, nvars: int, t_max: int) -> list[int]:
     """values[t] = C(t+n-1, n-1) - dim of the degree-t piece of the ideal.
 
     Each degree's integer Macaulay matrix, over the standard monomials of
     the monomial generators, is peeled of its singleton columns over Z,
     which is exact over Q; only the remainder's rank is modular (the
-    common rank mod both primes, or its rank over Q if they disagree).
+    common rank mod both RANK_PRIMES, or its rank over Q if they disagree).
     J(lambda:mu) matrices peel to nothing, so their values are exact.
     """
     gens = list(generators)
@@ -286,7 +280,7 @@ def graded_hilbert(
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError(f"inhomogeneous generator {g}")
-    return [width - _macaulay_rank(width, cols, vals, primes)
+    return [width - _macaulay_rank(width, cols, vals)
             for width, cols, vals in _macaulay_matrices(gens, nvars, t_max)]
 
 

@@ -1,4 +1,12 @@
-"""Small exact linear algebra helpers: ranks over Q and over prime fields."""
+"""Exact ranks, one kernel for each field and shape.
+
+- RowBasis and rank_fraction, over Q and Q(xi_n): sparse rows reduced
+  against a growing basis, in the arithmetic of their coefficients.
+- rank_mod, over F_p: one (sparse, int64) matrix, such as the remainder of
+  a Macaulay matrix after its singleton peel over Z (_peel_singletons).
+- rank_gauss_mod, over F_p: a stack of small dense int64 matrices, all
+  eliminated at once.
+"""
 
 from __future__ import annotations
 
@@ -9,32 +17,43 @@ import numpy as np
 from .exactnum import check_modulus
 
 
+class RowBasis:
+    """Incremental row reduction of sparse rows: dicts from a column (or a
+    monomial) to a nonzero coefficient.
+
+    Each basis row is monic at its largest key, and no other basis row has
+    that key.  The arithmetic is that of the coefficients: over Q for
+    Fractions and over Q(xi_n) for CycloNums.
+    """
+
+    def __init__(self) -> None:
+        self.pivots: dict = {}  # leading key -> reduced row dict, monic
+
+    def insert(self, row: dict) -> bool:
+        """Reduce row by the basis and keep what is left, if anything;
+        whether row was independent of the basis."""
+        row = dict(row)
+        while row:
+            lead = max(row)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                self.pivots[lead] = {m: inv * c for m, c in row.items()}
+                return True
+            factor = row[lead]
+            for m, c in pivot.items():
+                v = row.get(m, 0) - factor * c
+                if v:
+                    row[m] = v
+                else:
+                    row.pop(m, None)
+        return False
+
+
 def rank_fraction(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination on Fraction entries."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Rank over Q: the number of rows independent of those before them."""
+    basis = RowBasis()
+    return sum(basis.insert({j: Fraction(x) for j, x in enumerate(r) if x}) for r in rows)
 
 
 def _peel_singletons(nz_rows: np.ndarray, nz_cols: np.ndarray, shape: tuple[int, int]):
@@ -86,16 +105,12 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     2^31) raises ValueError.
 
     Entries are reduced into [0, p), so every product of two of them stays
-    below p^2 < 2^62 and no intermediate overflows int64.  Singleton
-    columns of A mod p are peeled first (_peel_singletons, where an entry
-    that is a multiple of p counts as zero).  On the rows and columns
-    left, each pivot updates only the rows below it with a nonzero in the
-    pivot column, a small share on sparse Macaulay matrices.
+    below p^2 < 2^62 and no intermediate overflows int64.  Each pivot
+    updates only the rows below it with a nonzero in the pivot column, a
+    small share on sparse matrices.
     """
     check_modulus(p)
     A = np.asarray(matrix, dtype=np.int64) % p
-    peeled, live_rows, live_cols = _peel_singletons(*np.nonzero(A), A.shape)
-    A = A[np.ix_(live_rows, live_cols)]
     rows, cols = A.shape
     r = 0
     for c in range(cols):
@@ -115,7 +130,7 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
         if below.size:
             A[below, c:] = (A[below, c:] - A[below, c:c + 1] * A[r, c:]) % p
         r += 1
-    return peeled + r
+    return r
 
 
 def rank_gauss_mod(stack: np.ndarray, p: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from heisencheck.ffscan import (
     projective_point_count,
 )
 from heisencheck.heisenberg import s_matrix, sigma, tau
-from heisencheck.linalg import _peel_singletons, rank_fraction, rank_mod
+from heisencheck.linalg import _peel_singletons, rank_mod
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
 
@@ -36,6 +36,37 @@ def partial(f: SparsePoly, i: int) -> SparsePoly:
         tuple(e - (k == i) for k, e in enumerate(exps)): c * exps[i]
         for exps, c in f.terms.items() if exps[i]
     })
+
+
+# -- the dense path behind linalg.rank_fraction ---------------------------------
+
+
+def gauss_jordan_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q by Gauss-Jordan elimination on dense Fraction rows."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(mat)):
+            if mat[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [x / pv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 # -- the slow paths behind linalg.rank_mod and hilbert._macaulay_matrices ------
@@ -163,7 +194,7 @@ def peel_dense(matrix: np.ndarray) -> tuple[int, np.ndarray]:
 def two_prime_rank(matrix: np.ndarray, primes: tuple[int, int]) -> int:
     """Rank of the whole matrix mod each prime, over Q if the two disagree."""
     ranks = {rank_mod(matrix, p) for p in primes}
-    return ranks.pop() if len(ranks) == 1 else rank_fraction(np.asarray(matrix).tolist())
+    return ranks.pop() if len(ranks) == 1 else gauss_jordan_rank(np.asarray(matrix).tolist())
 
 
 # -- the slow path behind hilbert.monomial_hilbert ------------------------------

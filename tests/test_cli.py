@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from heisencheck import checks, cli, hilbert
+from heisencheck import cli, hilbert
 from heisencheck.checks import (
     CheckReport,
     RunConfig,
@@ -51,10 +51,10 @@ def test_config_rejects_unscannable_prime(field, q):
     ("jacobian_primes", (9, 15), "not an odd prime"),
     ("jacobian_primes", (2,), "not an odd prime"),
     ("jacobian_primes", (3, 1), "not an odd prime"),
-    ("rank_primes", (4, 6), "not prime"),
-    ("rank_primes", (1073741789, 1073741789), "two distinct primes"),
-    ("rank_primes", (1073741789,), "two distinct primes"),
-    ("rank_primes", (1073741789, 2147483659), "too large"),
+    ("jacobian_primes", (4, 6), "not an odd prime"),
+    ("jacobian_primes", (0,), "not an odd prime"),
+    ("jacobian_primes", (-3,), "not an odd prime"),
+    ("jacobian_primes", (2147483648,), "too large"),
     ("jacobian_primes", (), "at least one odd prime"),
     ("jacobian_primes", (3, 2147483659), "too large"),
     # 1000000007 * 1000000009: trial division would run to 10^9 before the bound
@@ -65,20 +65,10 @@ def test_config_rejects_bad_primes(field, value, message):
         RunConfig(**{field: value}).validate()
 
 
-def test_flatness_runs_with_the_configured_rank_primes(monkeypatch):
-    seen = []
-    graded = checks.graded_hilbert
-
-    def spy(generators, nvars, t_max, primes=hilbert.RANK_PRIMES):
-        seen.append(primes)
-        return graded(generators, nvars, t_max, primes)
-
-    monkeypatch.setattr(checks, "graded_hilbert", spy)
-    config = RunConfig(t_max=3, rank_primes=(1000003, 999983))
-    status, details = check_hilbert_flatness(RunContext(config))
+def test_flatness_reports_the_fixed_rank_primes():
+    status, details = check_hilbert_flatness(RunContext(RunConfig(t_max=3)))
     assert status == "pass"
-    assert details["rank_primes"] == [1000003, 999983]
-    assert seen and set(seen) == {(1000003, 999983)}
+    assert details["rank_primes"] == list(hilbert.RANK_PRIMES)
 
 
 @pytest.mark.parametrize("prime", ["28", "10"])
@@ -202,9 +192,6 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "config error" in capsys.readouterr().err
     # an empty jacobian_primes used to PASS klein.jacobian without checking any prime
     for line in ("jacobian_primes = 9,15", "jacobian_primes = 2", "jacobian_primes =",
-                 "rank_primes = 4,6",
-                 "rank_primes = 1073741789,1073741789",
-                 "rank_primes = 1073741789,2147483659",
                  "jacobian_primes = 2147483659",
                  # one fiber compared with itself used to PASS d9.hilbert.flatness
                  "lambda_mu_samples = 1:1;1:1",
@@ -219,6 +206,15 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
         config.write_text(line + "\n")
         assert main(["verify", "--config", str(config)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
+
+
+def test_rank_primes_is_not_a_config_key(tmp_path, capsys, monkeypatch):
+    # the two rank primes are fixed (hilbert.RANK_PRIMES)
+    monkeypatch.setattr(cli, "run_suite", _must_not_run)
+    config = tmp_path / "rank.cfg"
+    config.write_text("rank_primes = 1073741789,1073741783\n")
+    assert main(["verify", "--config", str(config)]) == 2
+    assert "unknown config key 'rank_primes'" in capsys.readouterr().err
 
 
 def _must_not_run(*args, **kwargs):

@@ -8,7 +8,7 @@ the check can miss dead code whose name is reused elsewhere, but it never
 reports a name that is used.
 
 The modulus rule of the F_q kernels (a prime below 2^31) has one owner,
-exactnum.check_modulus.
+exactnum.check_modulus, and exact elimination has one owner, linalg.
 """
 
 import ast
@@ -87,3 +87,9 @@ def test_only_exactnum_encodes_the_modulus_bound():
     holders = {path.name for path in PACKAGE.glob("*.py")
                if bound.search(path.read_text(encoding="utf-8"))}
     assert holders == {"exactnum.py"}
+
+
+def test_only_linalg_eliminates():
+    holders = {path.name for path in PACKAGE.glob("*.py")
+               if "pivot" in path.read_text(encoding="utf-8")}
+    assert holders == {"linalg.py"}

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heisencheck.linalg import rank_gauss_mod, rank_mod
-from oracles import dense_rank_mod, list_rank_mod, peel_dense
+from heisencheck.linalg import RowBasis, rank_fraction, rank_gauss_mod, rank_mod
+from oracles import dense_rank_mod, gauss_jordan_rank, list_rank_mod, peel_dense
 
-PRIMES = (2, 3, 5, 1073741789, 2147483647)
+PRIMES = (2, 3, 5, 1073741789, 2147483647)  # 1073741789 is hilbert.RANK_PRIMES[0]
 
 
 @st.composite
@@ -62,6 +62,26 @@ def test_rank_mod_matches_the_dense_kernel(case):
     peeled, rest = peel_dense(mat % p)
     assert not (np.count_nonzero(rest, axis=0) == 1).any()
     assert peeled + dense_rank_mod(rest, p) == rank
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_integer_matrices())
+def test_rank_fraction_matches_the_dense_oracle(case):
+    mat, free, _ = case
+    rows = mat.tolist()
+    rank = rank_fraction(rows)
+    assert rank == gauss_jordan_rank(rows)
+    assert rank <= min(free, mat.shape[1])
+    assert rows == mat.tolist()
+
+
+def test_row_basis_reports_independence():
+    basis = RowBasis()
+    assert basis.insert({0: 1, 2: 3}) and basis.insert({2: 1})
+    assert not basis.insert({0: 2})
+    assert not basis.insert({0: 5, 2: 7}) and basis.insert({1: 1})
+    assert not basis.insert({1: 4, 2: 1})
+    assert rank_fraction([]) == rank_fraction([[0, 0]]) == 0
 
 
 def test_rank_mod_at_the_largest_prime():
