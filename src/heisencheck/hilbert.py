@@ -14,14 +14,14 @@ needs only the columns std[t] and the multipliers std[t - deg g] of each
 other generator.  Each of those is cleared of denominators once, and its
 rows are built with array operations as padded (column, integer) pairs,
 never as a dense matrix.  The rows are very sparse (about 2.4 nonzeros per
-row at t = 8 for J(lambda:mu)), so one peel of singleton columns over Z
-(linalg._peel_singletons, on the nonzero pattern) comes first: a column
-whose only nonzero lies in row i makes row i independent, so that part of
-the rank is exact over Q.  Only the remainder is made dense and ranked
-over the two fixed 30-bit primes RANK_PRIMES, falling back to exact
-rationals when they disagree.  Every J(lambda:mu) matrix checked (to
-t = 8 in the tests) peels to nothing, so those values are exact over Q
-and no modular elimination runs on them.
+row at t = 8 for J(lambda:mu)), so a peel of singleton columns over Z
+(linalg._peel_singletons, on the nonzero pattern, in rounds) comes first:
+a column whose only nonzero lies in row i makes row i independent over Q.
+Only the remainder is made dense; the larger of its ranks mod the two
+30-bit primes RANK_PRIMES is its rank over Q when it is full, and exact
+rationals decide otherwise, so every value is exact over Q.  Every
+J(lambda:mu) matrix checked (to t = 8 in the tests) peels to nothing, so
+no modular elimination runs on them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .exactnum import CycloNum
 from .linalg import _peel_singletons, rank_fraction, rank_mod
 from .mpoly import SparsePoly, monomial_exponents
 
@@ -196,6 +197,8 @@ def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
         if exps is not None:
             monomials.append((dg, int(np.dot(exps, weights))))
             continue
+        if any(isinstance(c, CycloNum) for c in g.terms.values()):
+            raise ValueError(f"generator {g}: cyclotomic coefficient, not rational")
         scale = math.lcm(*(c.denominator for c in g.terms.values()))
         coeffs = [c.numerator * (scale // c.denominator) for c in g.terms.values()]
         if not all(-2 ** 63 <= c < 2 ** 63 for c in coeffs):
@@ -229,13 +232,11 @@ def _macaulay_matrices(generators: list[SparsePoly], nvars: int, t_max: int):
             cols[r:r + len(j), :len(c)] = j
             vals[r:r + len(j), :len(c)] = c
             r += len(j)
-        alive = cols < width
-        # each row's surviving entries move to its front, still in order
-        slot = np.where(alive, np.cumsum(alive, axis=1) - 1, span - np.cumsum(~alive, axis=1))
-        front_cols, front_vals = np.empty_like(cols), np.empty_like(vals)
-        np.put_along_axis(front_cols, slot, cols, axis=1)
-        np.put_along_axis(front_vals, slot, np.where(alive, vals, 0), axis=1)
-        cols, vals = front_cols, front_vals
+        # each row's surviving entries move to its front, still in order;
+        # a killed entry's column is width, so it sorts last
+        front = np.argsort(cols, axis=1, kind="stable")
+        cols = np.take_along_axis(cols, front, axis=1)
+        vals = np.where(cols < width, np.take_along_axis(vals, front, axis=1), 0)
         nonzero = cols[:, 0] < width
         cols, vals = cols[nonzero], vals[nonzero]
         _, first = np.unique(np.hstack([cols, vals]), axis=0, return_index=True)
@@ -252,28 +253,27 @@ def _scatter(width: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _macaulay_rank(width: int, cols: np.ndarray, vals: np.ndarray) -> int:
-    """Rank of an integer matrix given as padded rows: its singleton peel
-    over Z, which is exact over Q, plus the remainder's common rank mod
-    both RANK_PRIMES, or the remainder's rank over Q if they disagree.  Only
-    the remainder is made dense."""
-    nz_rows, slots = np.nonzero(cols < width)  # rows ascending
+    """Rank over Q of an integer matrix given as padded rows: its singleton
+    peel over Z, plus the remainder's rank.  Only the remainder is made
+    dense.  Its rank mod p is at most its rank over Q, so the larger of its
+    ranks mod the RANK_PRIMES is exact when it is full; otherwise the rank
+    over Q is computed."""
+    nz_rows, slots = np.nonzero(cols < width)
     peeled, live_rows, live_cols = _peel_singletons(
         nz_rows, cols[nz_rows, slots], (len(cols), width))
-    remap = np.full(width + 1, len(live_cols), dtype=np.int64)
-    remap[live_cols] = np.arange(len(live_cols))
-    rest = _scatter(len(live_cols), remap[cols[live_rows]], vals[live_rows])
-    ranks = {rank_mod(rest, p) for p in RANK_PRIMES}
-    return peeled + (ranks.pop() if len(ranks) == 1 else rank_fraction(rest.tolist()))
+    rest = _scatter(width, cols[live_rows], vals[live_rows])[:, live_cols]
+    lower = max(rank_mod(rest, p) for p in RANK_PRIMES)
+    return peeled + (lower if lower == min(rest.shape) else rank_fraction(rest.tolist()))
 
 
 def graded_hilbert(generators, nvars: int, t_max: int) -> list[int]:
     """values[t] = C(t+n-1, n-1) - dim of the degree-t piece of the ideal.
 
     Each degree's integer Macaulay matrix, over the standard monomials of
-    the monomial generators, is peeled of its singleton columns over Z,
-    which is exact over Q; only the remainder's rank is modular (the
-    common rank mod both RANK_PRIMES, or its rank over Q if they disagree).
-    J(lambda:mu) matrices peel to nothing, so their values are exact.
+    the monomial generators, is peeled of its singleton columns over Z in
+    rounds, and its remainder is ranked as in _macaulay_rank, so every
+    value is exact over Q.  Coefficients must be rational; a cyclotomic one
+    in a non-monomial generator raises ValueError.
     """
     gens = list(generators)
     _check_inputs(gens, nvars, t_max)

@@ -3,7 +3,8 @@
 - RowBasis and rank_fraction, over Q and Q(xi_n): sparse rows reduced
   against a growing basis, in the arithmetic of their coefficients.
 - rank_mod, over F_p: one (sparse, int64) matrix, such as the remainder of
-  a Macaulay matrix after its singleton peel over Z (_peel_singletons).
+  a Macaulay matrix after its singleton peel over Z (_peel_singletons,
+  which removes all rows with a singleton column at once, in rounds).
 - rank_gauss_mod, over F_p: a stack of small dense int64 matrices, all
   eliminated at once.
 """
@@ -59,7 +60,7 @@ def rank_fraction(rows: list[list[Fraction]]) -> int:
 def _peel_singletons(nz_rows: np.ndarray, nz_cols: np.ndarray, shape: tuple[int, int]):
     """Peel the rows that hold a column's only nonzero: (peeled, live rows,
     live columns) of the matrix whose nonzeros are at (nz_rows[k],
-    nz_cols[k]), with nz_rows ascending.
+    nz_cols[k]).
 
     If column j has one nonzero, in row i, no combination of the other rows
     reaches column j, so rank(A) = 1 + rank(A without row i).  Removing the
@@ -69,35 +70,22 @@ def _peel_singletons(nz_rows: np.ndarray, nz_cols: np.ndarray, shape: tuple[int,
     columns that still hold a nonzero, both ascending, so rank(A) =
     peeled + its rank.
 
-    Each column keeps its count of live nonzeros and the sum of their row
-    indices, which names the row once the count is 1; removing a row
-    updates only its own columns, so the peel costs O(nnz) and never needs
-    A itself.  A matrix with no singleton column pays one column count.
+    The peel runs in rounds of array operations: each counts the live
+    nonzeros of every column, and all rows holding a singleton column leave
+    at once.  Removing rows never takes a private column from a live row,
+    so the rows peeled do not depend on their order.
     """
     rows, cols = shape
-    count = np.bincount(nz_cols, minlength=cols)
-    stack = np.flatnonzero(count == 1).tolist()
-    if not stack:
-        return 0, np.arange(rows), np.flatnonzero(count)
-    starts = np.searchsorted(nz_rows, np.arange(rows + 1)).tolist()
-    row_sum = np.bincount(nz_cols, weights=nz_rows, minlength=cols).astype(np.int64).tolist()
-    count = count.tolist()
-    nz_cols = nz_cols.tolist()
-    peeled = []
-    while stack and len(peeled) < rows:  # with every row peeled, the stack is stale
-        j = stack.pop()
-        if count[j] != 1:
-            continue  # its row went with another singleton column
-        i = row_sum[j]
-        peeled.append(i)
-        for c in nz_cols[starts[i]:starts[i + 1]]:
-            count[c] -= 1
-            row_sum[c] -= i
-            if count[c] == 1:
-                stack.append(c)
     live = np.ones(rows, dtype=bool)
-    live[peeled] = False
-    return len(peeled), np.flatnonzero(live), np.flatnonzero(count)
+    while True:
+        count = np.bincount(nz_cols, minlength=cols)
+        leaving = nz_rows[count[nz_cols] == 1]
+        if not leaving.size:
+            live_rows = np.flatnonzero(live)
+            return rows - len(live_rows), live_rows, np.flatnonzero(count)
+        live[leaving] = False
+        kept = live[nz_rows]
+        nz_rows, nz_cols = nz_rows[kept], nz_cols[kept]
 
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:

@@ -26,7 +26,7 @@ from heisencheck.ffscan import (
     projective_point_count,
 )
 from heisencheck.heisenberg import s_matrix, sigma, tau
-from heisencheck.linalg import _peel_singletons, rank_mod
+from heisencheck.linalg import _peel_singletons
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
 
@@ -191,10 +191,18 @@ def peel_dense(matrix: np.ndarray) -> tuple[int, np.ndarray]:
     return peeled, matrix[np.ix_(rows, cols)]
 
 
-def two_prime_rank(matrix: np.ndarray, primes: tuple[int, int]) -> int:
-    """Rank of the whole matrix mod each prime, over Q if the two disagree."""
-    ranks = {rank_mod(matrix, p) for p in primes}
-    return ranks.pop() if len(ranks) == 1 else gauss_jordan_rank(np.asarray(matrix).tolist())
+def peel_row_by_row(matrix: np.ndarray) -> tuple[int, list[int], list[int]]:
+    """linalg._peel_singletons one row at a time on a dense matrix: drop the
+    first row of the first singleton column until none is left; (peeled,
+    live rows, live columns)."""
+    live = np.ones(len(matrix), dtype=bool)
+    while True:
+        nonzero = matrix[live] != 0
+        singleton = np.flatnonzero(nonzero.sum(axis=0) == 1)
+        if not singleton.size:
+            return (len(matrix) - int(live.sum()), np.flatnonzero(live).tolist(),
+                    np.flatnonzero(nonzero.any(axis=0)).tolist())
+        live[np.flatnonzero(live)[nonzero[:, singleton[0]].argmax()]] = False
 
 
 # -- the slow path behind hilbert.monomial_hilbert ------------------------------

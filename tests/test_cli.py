@@ -47,7 +47,7 @@ def test_config_rejects_unscannable_prime(field, q):
         RunConfig(**{field: q}).validate()
 
 
-@pytest.mark.parametrize("field,value,message", [
+_BAD_PRIMES = [
     ("jacobian_primes", (9, 15), "not an odd prime"),
     ("jacobian_primes", (2,), "not an odd prime"),
     ("jacobian_primes", (3, 1), "not an odd prime"),
@@ -59,7 +59,12 @@ def test_config_rejects_unscannable_prime(field, q):
     ("jacobian_primes", (3, 2147483659), "too large"),
     # 1000000007 * 1000000009: trial division would run to 10^9 before the bound
     ("jacobian_primes", (3, 1000000016000000063), "too large"),
-])
+]
+
+
+# ids named by input, so adding or dropping a case renames no other
+@pytest.mark.parametrize("field,value,message", _BAD_PRIMES,
+                         ids=[f"{f}=({','.join(map(str, v))})" for f, v, _ in _BAD_PRIMES])
 def test_config_rejects_bad_primes(field, value, message):
     with pytest.raises(ValueError, match=f"{field}: .*{message}"):
         RunConfig(**{field: value}).validate()

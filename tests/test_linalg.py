@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heisencheck.linalg import RowBasis, rank_fraction, rank_gauss_mod, rank_mod
-from oracles import dense_rank_mod, gauss_jordan_rank, list_rank_mod, peel_dense
+from heisencheck.linalg import RowBasis, _peel_singletons, rank_fraction, rank_gauss_mod, rank_mod
+from oracles import (
+    dense_rank_mod,
+    gauss_jordan_rank,
+    list_rank_mod,
+    peel_dense,
+    peel_row_by_row,
+)
 
 PRIMES = (2, 3, 5, 1073741789, 2147483647)  # 1073741789 is hilbert.RANK_PRIMES[0]
 
@@ -62,6 +68,10 @@ def test_rank_mod_matches_the_dense_kernel(case):
     peeled, rest = peel_dense(mat % p)
     assert not (np.count_nonzero(rest, axis=0) == 1).any()
     assert peeled + dense_rank_mod(rest, p) == rank
+    # peeling in rounds drops the same rows as peeling one row at a time
+    for reduced in (mat, mat % p):
+        peeled, rows, cols = _peel_singletons(*np.nonzero(reduced), reduced.shape)
+        assert (peeled, rows.tolist(), cols.tolist()) == peel_row_by_row(reduced)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
