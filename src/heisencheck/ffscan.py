@@ -37,8 +37,11 @@ pieces of one run when q exceeds the block size, and fills each column by
 broadcasting, never by dividing the point index: the last coordinate is a
 tiled 0, ..., q-1 (a run split across blocks is filled like any other
 digit) and a coordinate that changes every s rows is a (rows/s, s) view
-assigned its digits.  The census takes the representatives from each
-block as views of its contiguous stretches of whole runs, apart from each
+assigned its digits.  A block holds its coordinates in the narrowest
+unsigned type that holds q-1 (np.min_scalar_type: one byte per coordinate
+up to q = 256, two up to 65536, four above), and every kernel widens them
+to int64 before it multiplies.  The census takes the representatives from
+each block as views of its contiguous stretches of whole runs, apart from each
 lead's head (the points whose only nonzero free coordinate is the last),
 a partial run filtered row by row.  The kernel tests once per call, with
 one compare of the prefix columns read as a (runs, q, m-1) view, whether
@@ -130,9 +133,15 @@ def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
     coordinate but the last) is split only when q > block_size; otherwise
     every block holds whole runs.  Block boundaries never change the
     enumeration, so partitioned runs merge to identical censuses.
+
+    Every block holds the narrowest unsigned type that holds q - 1
+    (np.min_scalar_type: uint8 up to q = 256, uint16 up to 65536, uint32
+    above), so a coordinate takes one byte at the census primes; every
+    kernel widens the entries to int64 before it multiplies them.
     """
+    dtype = np.min_scalar_type(q - 1)
     # whole runs tile a block only when q <= block_size; only then is the ramp used
-    ramp = np.arange(q, dtype=np.int64) if q <= block_size else None
+    ramp = np.arange(q, dtype=dtype) if q <= block_size else None
     for lead in range(ncoords):
         free = ncoords - lead - 1
         total = q ** free
@@ -141,7 +150,7 @@ def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
         for start in range(0, total, step):
             size = min(step, total - start)
             # column-major, so each coordinate is one contiguous array
-            block = np.empty((ncoords, size), dtype=np.int64).T
+            block = np.empty((ncoords, size), dtype=dtype).T
             block[:, :lead] = 0
             block[:, lead] = 1
             if free and step % q == 0:
@@ -182,8 +191,11 @@ def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
     and a cyclotomic one raises ValueError, as does a q that fails
     exactnum.check_modulus (a prime below 2^31).
 
-    Entries of X must lie in (-q, q).  As in _horner, bounds on the absolute
-    values of the term and of the running total are tracked, and each is
+    Entries of X must lie in (-q, q), in any integer type: the point blocks
+    hold the narrowest unsigned one.  Every term is an int64 array from its
+    first multiply (dtype=np.int64), so each later factor widens into it and
+    no product is taken in the narrow type.  As in _horner, bounds on the
+    absolute values of the term and of the running total are tracked, and each is
     reduced only when the next step could reach 2^63: a term is kept below
     2^63 - q, so it can always be added to a reduced total, and right after
     a reduction a product is below q^2 < 2^62.  So at the largest primes
@@ -287,8 +299,9 @@ def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
     """sum_j c_j t^j mod q, given c_k, ..., c_0; every value lies in [0, q).
 
     Each c_j broadcasts against t, e.g. one value per run, shape (runs, 1),
-    against the last coordinates, shape (runs, L).  The accumulator is
-    reduced only when the next step could leave int64: with acc <= bound,
+    against the last coordinates, shape (runs, L), in int64 or a narrower
+    integer type: the accumulator is int64, so acc * t widens t.  It is reduced
+    only when the next step could leave int64: with acc <= bound,
     acc * t + c <= bound (q-1) + q-1, and right after a reduction that is
     below q^2.
     """
@@ -314,6 +327,10 @@ def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     each coefficient polynomial is evaluated once per run, at its first row.
     A block that is not whole runs is evaluated row by row, so any rows in
     any order get exact values.
+
+    The rows may hold any integer type (point_blocks gives the narrowest
+    unsigned one): the coefficients and Horner's accumulator are int64, so
+    every product widens the last coordinate.
     """
     n, m = pts.shape
     length = 1

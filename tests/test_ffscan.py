@@ -186,6 +186,22 @@ def test_first_block_allocates_no_table_of_the_field():
     assert peak < 2 ** 20
 
 
+def test_census_blocks_take_one_byte_per_coordinate():
+    # at q = 23 a coordinate is one uint8; with int64 blocks the peaks were
+    # 5.4 MB and 7.9 MB, and with uint8 blocks they measure 1.0 MB and 3.0 MB
+    scan_strata(11, 23)  # the symbolic tables are cached before tracing
+    peaks = []
+    for run in (lambda: scan_strata(11, 23), lambda: find_stratum_point(11, 23, 4)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.5 * 2 ** 20
+    assert peaks[1] < 4.5 * 2 ** 20
+
+
 def test_point_blocks_beyond_int64_strides():
     # at q = 2097169, the least prime above 2^21, the first free coordinate
     # changes every q^3 > 2^63 rows, a stride no (0, q^3) view can hold
@@ -199,6 +215,28 @@ def test_point_blocks_beyond_int64_strides():
         column = np.empty(10, dtype=np.int64)
         ffscan._fill_digit(column, 5 * s - 3, s, q)
         assert column.tolist() == [4] * 3 + [5] * 7
+
+
+# one byte per coordinate up to q = 256, two up to 65536, four above
+@pytest.mark.parametrize("q,dtype", [
+    (199, np.uint8), (251, np.uint8), (257, np.uint16), (271, np.uint16), (331, np.uint16),
+    (65521, np.uint16), (65537, np.uint32), (65539, np.uint32)])
+def test_point_blocks_hold_the_narrowest_unsigned_type(q, dtype):
+    # the whole enumeration of P^2 while it is small, of P^1 beyond
+    ncoords = 3 if q < 1000 else 2
+    blocks = list(point_blocks(ncoords, q, block_size=5000))
+    assert {block.dtype for block in blocks} == {np.dtype(dtype)}
+    assert np.array_equal(np.concatenate(blocks), canonical_points(ncoords, q))
+    # in P^4, blocks 12..14 of the first lead position: through the first
+    # wrap of the last coordinate at the large q, whose runs are split
+    step = 5000 // q * q or 5000
+    first = np.concatenate(list(islice(point_blocks(5, q, block_size=5000), 12, 15)))
+    assert first.dtype == dtype
+    expected = np.zeros((3 * step, 5), dtype=np.int64)
+    expected[:, 0] = 1
+    expected[:, 2], rest = np.divmod(np.arange(12 * step, 15 * step), q * q)
+    expected[:, 3], expected[:, 4] = np.divmod(rest, q)
+    assert np.array_equal(first, expected)
 
 
 @pytest.mark.parametrize("ncoords,q,block_size", [(3, 23, 7), (4, 19, 5), (5, 23, 7), (2, 5, 1)])
@@ -215,6 +253,38 @@ def test_split_runs_concatenate_to_the_enumeration(ncoords, q, block_size):
 def test_kernel_on_split_runs(d, q, block_size, stop, step):
     for block in islice(point_blocks((d - 1) // 2, q, block_size), 0, stop, step):
         assert (_batch_ranks(d, q, block) == closed_form_ranks(d, q, block)).all()
+
+
+@pytest.mark.parametrize("d,q", [(9, 199), (11, 199), (9, 271), (11, 331), (9, 65539), (11, 65539)])
+def test_kernel_widens_narrow_blocks(d, q):
+    # every case against the int64 oracle on an int64 copy of the same rows
+    def check(pts):
+        assert pts.dtype == np.min_scalar_type(q - 1)
+        assert (_batch_ranks(d, q, pts) == closed_form_ranks(d, q, pts.astype(np.int64))).all()
+
+    ncoords = (d - 1) // 2
+    blocks = list(islice(point_blocks(ncoords, q), 2))
+    rng = np.random.default_rng(q)
+    for block in blocks:
+        # whole runs, then the same rows shuffled, then each run rotated, so
+        # the prefixes still agree but the last coordinates are out of order
+        check(block)
+        check(block[rng.permutation(len(block))])
+        check(np.roll(block.reshape(-1, q, ncoords), 1, axis=1).reshape(block.shape))
+    # rows whose entries are all q-1, where a product of two entries taken
+    # in the narrow type overflows: one such row, a whole run with q-1 in
+    # every prefix coordinate, and the rows of the blocks below the top
+    # rank scaled by q-1 (rank ignores scaling), whose entries are q minus
+    # the original
+    wide = np.full((q, ncoords), q - 1, dtype=blocks[0].dtype)
+    wide[:, -1] = np.arange(q)
+    top = s_matrix(d).size // 2 * 2
+    low = np.concatenate([b[closed_form_ranks(d, q, b.astype(np.int64)) < top] for b in blocks])
+    negated = (low.astype(np.int64) * (q - 1) % q).astype(low.dtype)
+    assert len(negated)
+    check(wide[-1:])
+    check(wide)
+    check(np.concatenate([negated, wide[-1:]]))
 
 
 @pytest.mark.parametrize("d", [9, 11])
