@@ -207,6 +207,12 @@ def decompose(chi) -> tuple[int, ...]:
     return tuple(mults)
 
 
+@lru_cache(maxsize=None)
+def sym_power_decomposition(source: int, k: int) -> tuple[int, ...]:
+    """Multiplicities of the k-th symmetric power of the source-th irreducible character."""
+    return decompose(sym_power_character(character(source), k))
+
+
 def multiplicity_names(mults) -> str:
     parts = []
     for i, m in enumerate(mults, start=1):

@@ -3,8 +3,11 @@ of individually runnable checks producing CheckReport records.
 
 Shared constructions (the quadric matrices, the kernel maps, the Klein
 matrix, the character table) are lru_cached by the modules that build
-them, and checks call those constructors directly.  The RunContext holds
-the run configuration and the two censuses that depend on it.
+them, and checks call those constructors directly.  The run configuration
+is the three primes the checks run over (jacobian_primes and the two
+census primes); the Hilbert degree T_MAX, the (lambda : mu) samples and
+the rank primes (hilbert.RANK_PRIMES) are fixed.  The RunContext holds
+the configuration and the two censuses that depend on it.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from .chartab import (
     character_table,
     class_of,
     conjugacy_classes,
-    decompose,
     element_power,
     enumerate_group,
     inner_product,
     multiplicity_names,
     multiply,
     power_map,
-    sym_power_character,
+    sym_power_decomposition,
 )
 from .exactnum import CycloNum, check_modulus
 from .ffscan import (
@@ -70,7 +72,6 @@ from .hilbert import (
     RANK_PRIMES,
     SimplicialComplex,
     abelian_surface_profile,
-    check_packable,
     face_vector,
     graded_hilbert,
     monomial_hilbert,
@@ -112,15 +113,18 @@ class CheckReport:
     elapsed_ms: int
 
 
+# The Hilbert checks run to degree T_MAX (the torus profile 1, 9, ..., 225), and the
+# J(lambda:mu) checks take the fibers over these points of P^1, two or more of them
+# distinct, so that the flatness check compares different fibers.
+T_MAX = 5
+LAMBDA_MU_SAMPLES = ((0, 1), (1, 1), (1, 2), (2, 1), (1, 0))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     jacobian_primes: tuple[int, ...] = (3, 7, 13, 23, 31)
     scan_prime_d9: int = 19
     scan_prime_d11: int = 23
-    t_max: int = 5
-    lambda_mu_samples: tuple[tuple[int, int], ...] = ((0, 1), (1, 1), (1, 2), (2, 1), (1, 0))
-    report_path: str | None = None
-    format: str = "text"
 
     def validate(self) -> None:
         for name, d in (("scan_prime_d9", 9), ("scan_prime_d11", 11)):
@@ -128,25 +132,6 @@ class RunConfig:
                 check_scan_prime(d, getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-        if self.t_max < 2:
-            raise ValueError("t_max must be at least 2")
-        try:
-            check_packable(9, self.t_max)
-        except ValueError as exc:
-            raise ValueError(f"t_max: {exc}") from None
-        if self.format not in ("json", "text"):
-            raise ValueError("format must be json or text")
-        samples = self.lambda_mu_samples
-        for lam, mu in samples:
-            # the Macaulay matrices hold the coefficients lambda, -mu in int64
-            if max(abs(lam), abs(mu)) >= 2 ** 63:
-                raise ValueError(f"lambda_mu_samples: {lam}:{mu} is too large: "
-                                 "|lambda| and |mu| must be below 2^63")
-        if any(lam == 0 and mu == 0 for lam, mu in samples):
-            raise ValueError("lambda_mu_samples: (0 : 0) is not a point of P^1")
-        # (lam : mu) and (lam' : mu') are one point of P^1 when lam mu' = lam' mu
-        if all(lam * mu2 == lam2 * mu for lam, mu in samples for lam2, mu2 in samples):
-            raise ValueError("lambda_mu_samples: need at least two distinct points of P^1")
         if not self.jacobian_primes:
             raise ValueError("jacobian_primes: need at least one odd prime")
         for q in self.jacobian_primes:
@@ -471,7 +456,7 @@ def check_d9_jfamily_quadrics(ctx: RunContext):
     if got != j1:
         return FAIL, {"error": "J(0:1) generator set is not the torus ideal"}
     checked = []
-    for lam, mu in ctx.config.lambda_mu_samples:
+    for lam, mu in LAMBDA_MU_SAMPLES:
         quadric_decomposition(lam, mu)  # raises on any non-vanishing generator
         checked.append(f"{lam}:{mu}")
     return PASS, {"J(0:1)_is_torus_ideal": True, "components_checked": checked}
@@ -481,10 +466,9 @@ def check_d9_jfamily_quadrics(ctx: RunContext):
 
 
 def check_hilbert_monomial(ctx: RunContext):
-    t_max = ctx.config.t_max
-    expected = abelian_surface_profile(t_max)
-    mono = monomial_hilbert(j1_generators(), 9, t_max)
-    graded = graded_hilbert(j1_generators(), 9, t_max)
+    expected = abelian_surface_profile(T_MAX)
+    mono = monomial_hilbert(j1_generators(), 9, T_MAX)
+    graded = graded_hilbert(j1_generators(), 9, T_MAX)
     ok = mono == expected and graded == mono
     return (PASS if ok else FAIL), {
         "profile": mono,
@@ -501,7 +485,7 @@ def check_hilbert_faces(ctx: RunContext):
     tets = [tuple(sorted(f)) for f in cx2.faces_of_dimension(3)]
     sr_ok = all(
         stanley_reisner_hilbert(fv1, t) == v
-        for t, v in enumerate(monomial_hilbert(j1_generators(), 9, ctx.config.t_max))
+        for t, v in enumerate(monomial_hilbert(j1_generators(), 9, T_MAX))
         if t >= 1
     )
     ok = fv1 == (9, 27, 18) and euler == 0 and len(tets) == 9 and sr_ok
@@ -516,12 +500,11 @@ def check_hilbert_faces(ctx: RunContext):
 
 def check_hilbert_flatness(ctx: RunContext):
     # the samples share one Hilbert function, the flatness evidence, when each has the target
-    t_max = ctx.config.t_max
     profiles = {
-        f"{lam}:{mu}": graded_hilbert(j_family(lam, mu).generators(), 9, t_max)
-        for lam, mu in ctx.config.lambda_mu_samples
+        f"{lam}:{mu}": graded_hilbert(j_family(lam, mu).generators(), 9, T_MAX)
+        for lam, mu in LAMBDA_MU_SAMPLES
     }
-    target = abelian_surface_profile(t_max)
+    target = abelian_surface_profile(T_MAX)
     ok = all(p == target for p in profiles.values())
     return (PASS if ok else FAIL), {
         "profiles": profiles,
@@ -602,8 +585,8 @@ def check_chars_columns(ctx: RunContext):
 
 def check_chars_sym2(ctx: RunContext):
     stated = (0, 0, 1, 0, 1, 0, 0, 0)  # chi3 + chi5
-    actual = decompose(sym_power_character(character(3), 2))
-    mirror = decompose(sym_power_character(character(2), 2))
+    actual = sym_power_decomposition(3, 2)
+    mirror = sym_power_decomposition(2, 2)
     ok = actual == stated
     return (PASS if ok else FAIL), {
         "stated": multiplicity_names(stated),
@@ -622,7 +605,7 @@ def _total_degree(mults) -> int:
 
 def check_chars_sym3(ctx: RunContext):
     stated = (1, 0, 0, 0, 1, 1, 1, 0)  # chi1 + chi5 + chi6 + chi7
-    actual = decompose(sym_power_character(character(3), 3))
+    actual = sym_power_decomposition(3, 3)
     ok = actual == stated
     return (PASS if ok else FAIL), {
         "stated": multiplicity_names(stated),
@@ -635,8 +618,8 @@ def check_chars_sym3(ctx: RunContext):
 
 
 def check_chars_sym2_no_invariant(ctx: RunContext):
-    m3 = decompose(sym_power_character(character(3), 2))
-    m2 = decompose(sym_power_character(character(2), 2))
+    m3 = sym_power_decomposition(3, 2)
+    m2 = sym_power_decomposition(2, 2)
     ok = m3[0] == 0 and m2[0] == 0
     return (PASS if ok else FAIL), {
         "invariant_multiplicity_chi3_run": m3[0],
@@ -645,8 +628,8 @@ def check_chars_sym2_no_invariant(ctx: RunContext):
 
 
 def check_chars_sym3_invariant(ctx: RunContext):
-    m3 = decompose(sym_power_character(character(3), 3))
-    m2 = decompose(sym_power_character(character(2), 3))
+    m3 = sym_power_decomposition(3, 3)
+    m2 = sym_power_decomposition(2, 3)
     ok = m3[0] == 1 and m2[0] == 1
     return (PASS if ok else FAIL), {
         "invariant_multiplicity": m3[0],
@@ -656,14 +639,12 @@ def check_chars_sym3_invariant(ctx: RunContext):
 
 
 def check_chars_mirror(ctx: RunContext):
-    s2_chi3 = decompose(sym_power_character(character(3), 2))
-    s2_chi2 = decompose(sym_power_character(character(2), 2))
+    s2_chi3 = sym_power_decomposition(3, 2)
+    s2_chi2 = sym_power_decomposition(2, 2)
     swapped = list(s2_chi3)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     sym2_mirror = tuple(swapped) == s2_chi2
-    s3_equal = decompose(sym_power_character(character(3), 3)) == decompose(
-        sym_power_character(character(2), 3)
-    )
+    s3_equal = sym_power_decomposition(3, 3) == sym_power_decomposition(2, 3)
     ok = sym2_mirror and s3_equal
     return (PASS if ok else FAIL), {
         "sym2_mirror_under_conjugation": sym2_mirror,

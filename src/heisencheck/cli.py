@@ -91,63 +91,38 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
-def _parse_samples(text: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lam, _, mu = chunk.partition(":")
-        pairs.append((int(lam), int(mu)))
-    return tuple(pairs)
-
-
-def build_config(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        raw = load_config_file(args.config)
-        mapping = {
-            "jacobian_primes": ("jacobian_primes", _parse_int_list),
-            "scan_prime_d9": ("scan_prime_d9", int),
-            "scan_prime_d11": ("scan_prime_d11", int),
-            "t_max": ("t_max", int),
-            "lambda_mu_samples": ("lambda_mu_samples", _parse_samples),
-            "report": ("report_path", str),
-            "format": ("format", str),
-        }
-        updates = {}
-        for key, value in raw.items():
-            if key not in mapping:
+def build_config(path: str | None) -> RunConfig:
+    """The RunConfig of a config file: its keys are RunConfig's fields, a
+    tuple field is a comma-separated int list and every other field an int."""
+    updates = {}
+    if path:
+        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for key, value in load_config_file(path).items():
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            attr, parse = mapping[key]
-            updates[attr] = parse(value)
-        config = dataclasses.replace(config, **updates)
-    if getattr(args, "report", None):
-        config = dataclasses.replace(config, report_path=args.report)
-    if getattr(args, "format", None):
-        config = dataclasses.replace(config, format=args.format)
+            if isinstance(defaults[key], tuple):
+                updates[key] = tuple(int(x) for x in value.split(",") if x.strip())
+            else:
+                updates[key] = int(value)
+    config = RunConfig(**updates)
     config.validate()
-    if config.report_path:
-        check_output_dir(config.report_path)
     return config
 
 
 def cmd_verify(args) -> int:
     try:
-        config = build_config(args)
+        config = build_config(args.config)
+        if args.report:
+            check_output_dir(args.report)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     reports = run_suite(args.suite, config)
-    rendered = render_report(reports, config.format)
-    if config.report_path:
-        write_atomic(config.report_path, rendered)
+    rendered = render_report(reports, args.format)
+    if args.report:
+        write_atomic(args.report, rendered)
         summary = render_report(reports, "text").strip().splitlines()[-1]
-        print(f"wrote {config.report_path}: {summary}")
+        print(f"wrote {args.report}: {summary}")
     else:
         sys.stdout.write(rendered)
     return exit_code(reports)
@@ -193,11 +168,11 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_chars(args) -> int:
-    from .chartab import character, decompose, multiplicity_names, sym_power_character
+    from .chartab import multiplicity_names, sym_power_decomposition
 
     for source in (3, 2):
         for k in (2, 3):
-            mults = decompose(sym_power_character(character(source), k))
+            mults = sym_power_decomposition(source, k)
             print(f"sym^{k}(chi{source}) = {multiplicity_names(mults)}")
     return 0
 
@@ -212,7 +187,7 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--report", help="write the report to this path")
-    p_verify.add_argument("--format", choices=("json", "text"), default=None)
+    p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.add_argument("--config", help="key=value config file")
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -1,10 +1,9 @@
 """Heisenberg group H_d actions and the quadric matrices they generate.
 
 The group acts on the coordinate ring of P^(d-1) through the index shift
-sigma(x_i) = x_(i-1), the scaling tau(x_i) = xi^(-i) x_i, and the
-involution iota(x_i) = x_(-i).  From the action we build the matrix R of
-quadric representations, its restriction to the odd eigenspace chart, and
-the 9x9 Moore matrix.
+sigma(x_i) = x_(i-1) and the scaling tau(x_i) = xi^(-i) x_i.  From the
+action we build the matrix R of quadric representations, its restriction
+to the odd eigenspace chart, and the 9x9 Moore matrix.
 """
 
 from __future__ import annotations
@@ -44,17 +43,6 @@ def tau(f: SparsePoly, d: int, k: int = 1) -> SparsePoly:
         else:
             coeff = factor * c
         out[exps] = coeff
-    return SparsePoly(d, out)
-
-
-def iota(f: SparsePoly, d: int) -> SparsePoly:
-    """Index negation x_i -> x_(-i)."""
-    if f.nvars != d:
-        raise ValueError("polynomial does not live in the d-variable ring")
-    out = {}
-    for exps, c in f.terms.items():
-        new = tuple(exps[(-j) % d] for j in range(d))
-        out[new] = c
     return SparsePoly(d, out)
 
 

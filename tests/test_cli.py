@@ -33,10 +33,6 @@ def test_unknown_suite_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(scan_prime_d9=23).validate()
-    with pytest.raises(ValueError):
-        RunConfig(t_max=1).validate()
-    with pytest.raises(ValueError):
-        RunConfig(lambda_mu_samples=((0, 0), (1, 1))).validate()
     RunConfig().validate()
 
 
@@ -71,7 +67,7 @@ def test_config_rejects_bad_primes(field, value, message):
 
 
 def test_flatness_reports_the_fixed_rank_primes():
-    status, details = check_hilbert_flatness(RunContext(RunConfig(t_max=3)))
+    status, details = check_hilbert_flatness(RunContext(RunConfig()))
     assert status == "pass"
     assert details["rank_primes"] == list(hilbert.RANK_PRIMES)
 
@@ -170,17 +166,14 @@ def test_verify_uses_config_file(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
         "# comment\n"
-        "scan_prime_d9 = 19\n"
-        "t_max = 4\n"
-        "lambda_mu_samples = 0:1; 1:1; 2:1\n"
+        "scan_prime_d9 = 37\n"
     )
-    code = main(["verify", "--suite", "hilbert", "--config", str(config),
+    code = main(["verify", "--suite", "scan", "--config", str(config),
                  "--report", str(tmp_path / "r.json"), "--format", "json"])
     assert code == 0
     payload = json.loads((tmp_path / "r.json").read_text())
-    flatness = next(i for i in payload if i["check_id"] == "d9.hilbert.flatness")
-    assert set(flatness["details"]["profiles"]) == {"0:1", "1:1", "2:1"}
-    assert flatness["details"]["target"] == [1, 9, 36, 81, 144]
+    scan = next(i for i in payload if i["check_id"] == "scan.d9.q19")
+    assert scan["details"]["prime"] == 37
 
 
 def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -198,28 +191,31 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
     # an empty jacobian_primes used to PASS klein.jacobian without checking any prime
     for line in ("jacobian_primes = 9,15", "jacobian_primes = 2", "jacobian_primes =",
                  "jacobian_primes = 2147483659",
-                 # one fiber compared with itself used to PASS d9.hilbert.flatness
-                 "lambda_mu_samples = 1:1;1:1",
-                 "lambda_mu_samples = 1:1;2:2",
-                 "lambda_mu_samples = 0:1;0:0",
-                 "lambda_mu_samples = 1:0",
-                 # the Macaulay fill used to end in an OverflowError
-                 "lambda_mu_samples = 9223372036854775808:1;1:1",
-                 "lambda_mu_samples = 1:1;1:-9223372036854775808",
                  # a repeated key used to keep its last value silently
-                 "t_max = 2\nt_max = 3"):
+                 "scan_prime_d9 = 19\nscan_prime_d9 = 37"):
         config.write_text(line + "\n")
         assert main(["verify", "--config", str(config)]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
 
 
-def test_rank_primes_is_not_a_config_key(tmp_path, capsys, monkeypatch):
-    # the two rank primes are fixed (hilbert.RANK_PRIMES)
+# fixed values (hilbert.RANK_PRIMES, checks.T_MAX, checks.LAMBDA_MU_SAMPLES) and
+# output settings, which only the --report and --format flags set
+_NOT_CONFIG_KEYS = {
+    "rank_primes": "1073741789,1073741783",
+    "t_max": "4",
+    "lambda_mu_samples": "0:1; 1:1",
+    "report": "r.json",
+    "format": "json",
+}
+
+
+@pytest.mark.parametrize("key", list(_NOT_CONFIG_KEYS))
+def test_only_run_config_fields_are_config_keys(key, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", _must_not_run)
-    config = tmp_path / "rank.cfg"
-    config.write_text("rank_primes = 1073741789,1073741783\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {_NOT_CONFIG_KEYS[key]}\n")
     assert main(["verify", "--config", str(config)]) == 2
-    assert "unknown config key 'rank_primes'" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def _must_not_run(*args, **kwargs):
@@ -234,10 +230,6 @@ def test_output_into_a_missing_directory_is_usage_error(tmp_path, capsys, monkey
     assert "does not exist" in capsys.readouterr().err
     assert main(["verify", "--suite", "d9", "--report", str(missing)]) == 2
     assert "does not exist" in capsys.readouterr().err
-    config = tmp_path / "run.cfg"
-    config.write_text(f"report = {missing}\n")
-    assert main(["verify", "--suite", "d9", "--config", str(config)]) == 2
-    assert "does not exist" in capsys.readouterr().err
     assert not missing.parent.exists()
 
 
@@ -250,10 +242,6 @@ def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys, monkey
     assert "is a directory" in capsys.readouterr().err
     assert main(["verify", "--suite", "d9", "--report", str(folder)]) == 2
     assert "is a directory" in capsys.readouterr().err
-    config = tmp_path / "run.cfg"
-    config.write_text(f"report = {folder}\n")
-    assert main(["verify", "--suite", "d9", "--config", str(config)]) == 2
-    assert "is a directory" in capsys.readouterr().err
     assert list(folder.iterdir()) == []
 
 
@@ -265,17 +253,10 @@ def test_negative_max_deg_is_usage_error(capsys, monkeypatch):
     assert captured.out == ""
 
 
-def test_degrees_beyond_the_packing_bound_are_usage_errors(tmp_path, capsys, monkeypatch):
+def test_degrees_beyond_the_packing_bound_are_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr(cli, "graded_hilbert", _must_not_run)
-    monkeypatch.setattr(cli, "run_suite", _must_not_run)
     assert main(["hilbert", "--lambda", "1", "--mu", "1", "--max-deg", "127"]) == 2
     assert "(degree + 1)^9 must be below 2^63" in capsys.readouterr().err
-    config = tmp_path / "deep.cfg"
-    config.write_text("t_max = 127\n")
-    assert main(["verify", "--config", str(config)]) == 2
-    assert "t_max: monomials in 9 variables up to degree 127" in capsys.readouterr().err
-    # 127^9 < 2^63 <= 128^9
-    RunConfig(t_max=126).validate()
 
 
 def test_scan_subcommand(tmp_path, capsys):

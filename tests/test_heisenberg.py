@@ -8,7 +8,6 @@ from heisencheck.exactnum import CycloNum
 from heisencheck.heisenberg import (
     build_R,
     build_moore,
-    iota,
     pminus_chart,
     restrict_to_pminus,
     row_span_is_subrep,
@@ -42,7 +41,6 @@ def test_group_relations(d):
     for _ in range(d):
         g = tau(g, d)
     assert g == f
-    assert iota(iota(f, d), d) == f
 
 
 def test_sigma_on_squares():

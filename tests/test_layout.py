@@ -9,18 +9,21 @@ reports a name that is used.
 
 The modulus rule of the F_q kernels (a prime below 2^31) has one owner,
 exactnum.check_modulus, and exact elimination has one owner, linalg.
+The README's --config example names exactly the RunConfig fields.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from heisencheck.checks import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "heisencheck"
 CALLERS = (PACKAGE, ROOT / "perfbench")
 
 ALLOWED = {
-    "heisenberg.iota": "the index involution is one of the actions the README describes",
     "mpoly.graded_monomials": "perfbench/tracer.py traces it by name, and with no generators "
                               "hilbert's standard monomials are its output packed (tests "
                               "compare the two)",
@@ -93,3 +96,11 @@ def test_only_linalg_eliminates():
     holders = {path.name for path in PACKAGE.glob("*.py")
                if "pivot" in path.read_text(encoding="utf-8")}
     assert holders == {"linalg.py"}
+
+
+def test_readme_config_example_names_the_run_config_fields():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = readme[readme.index("via `--config`"):]
+    block = after.split("```")[1]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+    assert keys == {f.name for f in dataclasses.fields(RunConfig)}
