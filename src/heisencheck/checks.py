@@ -1,5 +1,7 @@
 """The named check suite: every claim the toolkit verifies, as a registry
-of individually runnable checks producing CheckReport records.
+of individually runnable checks producing CheckReport records.  Every
+check passes or fails: its claim holds exactly, or it is a FAIL, and so is
+a check that raises.
 
 Shared constructions (the quadric matrices, the kernel maps, the Klein
 matrix, the character table) are lru_cached by the modules that build
@@ -43,12 +45,10 @@ from .ffscan import (
     check_scan_prime,
     ci_curve_points_d9,
     evaluate_skew_mod,
-    hypersurface_window_d2,
     jacobian_zero_counts,
     projective_point_count,
     scan_strata,
     special_points_d9_mod,
-    weil_window_d1,
     find_stratum_point,
 )
 from .grassfano import (
@@ -67,6 +67,7 @@ from .heisenberg import (
     row_span_is_subrep,
     s_matrix,
     span_is_group_invariant,
+    v_dot_R,
 )
 from .hilbert import (
     RANK_PRIMES,
@@ -97,12 +98,10 @@ from .surface9 import (
     restrict_point_d9,
     special_points_d9,
     theta9_closed_form,
-    v_dot_R4,
 )
 
 PASS = "pass"
 FAIL = "fail"
-WARN = "warn"
 
 
 @dataclass(frozen=True)
@@ -516,8 +515,8 @@ def check_hilbert_flatness(ctx: RunContext):
 def check_hilbert_cubicgap(ctx: RunContext):
     # a kernel-map image away from the degeneration locus
     v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-    generic = graded_hilbert(v_dot_R4(v), 9, 3)
-    monomial_fiber = graded_hilbert(v_dot_R4([0, 1, 0, 0, 0]), 9, 3)
+    generic = graded_hilbert(v_dot_R(v, 9), 9, 3)
+    monomial_fiber = graded_hilbert(v_dot_R([0, 1, 0, 0, 0], 9), 9, 3)
     deficit = generic[3] - 81
     ok = deficit == 6
     return (PASS if ok else FAIL), {
@@ -681,21 +680,20 @@ def check_scan_d9(ctx: RunContext):
 def check_scan_d11(ctx: RunContext):
     census = ctx.census_d11
     q = census.q
-    d1_count = census.counts.get(0, 0) + census.counts.get(2, 0)
-    d2_count = d1_count + census.counts.get(4, 0)
-    w1 = weil_window_d1(q)
-    w2 = hypersurface_window_d2(q)
-    inside = w1[0] <= d1_count <= w1[1] and w2[0] <= d2_count <= w2[1]
-    details = {
+    # row 0 is (x_0^2, ..., x_4^2), and at e_k the only nonzero entry is x_k^2
+    min_rank_2 = census.counts.get(0, 0) == 0 and census.min_rank == 2
+    coordinate_points = {tuple(int(i == k) for i in range(5)) for k in range(5)}
+    coordinate_points_rank2 = min_rank_2 and coordinate_points <= set(census.min_rank_points)
+    # h points per torus-orbit representative, 1 per fixed point
+    total_is_point_count = census.total() == projective_point_count(5, q)
+    ok = min_rank_2 and coordinate_points_rank2 and total_is_point_count
+    return (PASS if ok else FAIL), {
         "prime": q,
         "counts": {str(k): v for k, v in sorted(census.counts.items())},
-        "d1_count": d1_count,
-        "d1_window": list(w1),
-        "d2_count": d2_count,
-        "d2_window": list(w2),
-        "note": "heuristic windows; misses warn and never fail the suite",
+        "min_rank_2": min_rank_2,
+        "coordinate_points_rank2": coordinate_points_rank2,
+        "total_is_point_count": total_is_point_count,
     }
-    return (PASS if inside else WARN), details
 
 
 # -- registry ------------------------------------------------------------------------
@@ -706,7 +704,7 @@ class CheckSpec:
     check_id: str
     suites: tuple[str, ...]
     # provenance of the expected value: a recorded display from the golden
-    # corpus, a derived independent computation, or a heuristic window
+    # corpus, a recorded expectation, or a derived independent computation
     source: str
     fn: object
 
@@ -747,7 +745,7 @@ CHECKS: tuple[CheckSpec, ...] = (
     CheckSpec("chars.sym3_invariant", ("chars",), "derived-identity", check_chars_sym3_invariant),
     CheckSpec("chars.mirror", ("chars",), "derived-identity", check_chars_mirror),
     CheckSpec("scan.d9.q19", ("scan", "d9"), "derived-enumeration", check_scan_d9),
-    CheckSpec("scan.d11.q23", ("scan", "d11"), "heuristic-window", check_scan_d11),
+    CheckSpec("scan.d11.q23", ("scan", "d11"), "derived-enumeration", check_scan_d11),
 )
 
 SUITES = ("all", "d11", "d9", "chars", "hilbert", "scan")

@@ -14,14 +14,14 @@ import os
 import sys
 import tempfile
 
-from .checks import PASS, FAIL, WARN, CheckReport, RunConfig, SUITES, exit_code, run_suite
+from .checks import PASS, FAIL, CheckReport, RunConfig, SUITES, exit_code, run_suite
 from .ffscan import census_csv, scan_strata
 from .hilbert import abelian_surface_profile, check_packable, graded_hilbert
 from .surface9 import j_family
 
 USAGE_ERROR = 2
 
-_STATUS_ORDER = {FAIL: 0, WARN: 1, PASS: 2}
+_STATUS_ORDER = {FAIL: 0, PASS: 1}
 
 
 def render_report(reports: list[CheckReport], fmt: str) -> str:
@@ -45,8 +45,7 @@ def render_report(reports: list[CheckReport], fmt: str) -> str:
         lines.append(f"{r.check_id.ljust(width)}  {r.status.upper():<4}  {r.elapsed_ms:>7} ms")
     passed = sum(1 for r in reports if r.status == PASS)
     failed = sum(1 for r in reports if r.status == FAIL)
-    warned = sum(1 for r in reports if r.status == WARN)
-    lines.append(f"{passed} passed, {failed} failed, {warned} warnings")
+    lines.append(f"{passed} passed, {failed} failed")
     return "\n".join(lines) + "\n"
 
 
@@ -100,10 +99,13 @@ def build_config(path: str | None) -> RunConfig:
         for key, value in load_config_file(path).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            if isinstance(defaults[key], tuple):
-                updates[key] = tuple(int(x) for x in value.split(",") if x.strip())
-            else:
-                updates[key] = int(value)
+            try:
+                if isinstance(defaults[key], tuple):
+                    updates[key] = tuple(int(x) for x in value.split(",") if x.strip())
+                else:
+                    updates[key] = int(value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     config = RunConfig(**updates)
     config.validate()
     return config

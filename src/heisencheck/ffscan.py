@@ -56,7 +56,10 @@ all of them come from one gather-multiply, and row 0 is
 Pfaffian through index 0, Pf_0ijk = a_0i a_jk - a_0j a_ik + a_0k a_ij,
 vanishes, then a_jk = (a_0j a_ik - a_0k a_ij) / a_0i and the matrix is
 (r_0 ^ r_i) / a_0i, of rank 2; so those C(m, 3) Pfaffians decide rank <= 2
-and rank 0 never occurs at a point.
+and rank 0 never occurs at a point.  At a coordinate point e_k the only
+nonzero upper entry is a_(0,k+1) = x_k^2, so over every F_q the minimal
+rank is 2 and the coordinate points lie in that stratum; the check
+scan.d11.q23 asserts both facts of its census.
 
 Every reduction mod q is x - (x // q) q, which numpy computes without a
 hardware divide, and it is made only when the next multiply or add could
@@ -69,7 +72,8 @@ coordinate at a time and imposes each polynomial as soon as all of its
 variables are assigned, so a partial point that a polynomial kills is
 never extended.  The Jacobian quadrics x_i^2 + 2 x_(i+1) x_(i+2) involve
 three consecutive coordinates each, which keeps about q partial points
-alive per stage instead of q^4 points overall.
+alive per stage instead of q^4 points overall.  A stage holds at most
+SCAN_BLOCK rows, the census block size.
 """
 
 from __future__ import annotations
@@ -118,9 +122,8 @@ def check_scan_prime(d: int, q: int) -> None:
         raise ValueError(f"{d} must divide {q}-1 so roots of unity reduce")
 
 
-DEFAULT_BLOCK = 1 << 20
-# rows per census block; the (runs, q) kernel is fastest when a block's
-# columns stay in cache
+# rows per census block and per common-zero sieve stage; the (runs, q)
+# kernel is fastest when a block's columns stay in cache
 SCAN_BLOCK = 1 << 17
 
 
@@ -229,7 +232,7 @@ def evaluate_poly_batch(f: SparsePoly, X: np.ndarray, q: int) -> np.ndarray:
 
 
 def common_zeros(polys: list[SparsePoly], ncoords: int, q: int,
-                 block_size: int = DEFAULT_BLOCK) -> np.ndarray:
+                 block_size: int = SCAN_BLOCK) -> np.ndarray:
     """Canonical points of P^(ncoords-1)(F_q) where every polynomial vanishes.
 
     Rows come in scan order, the order of point_blocks.  Points are built
@@ -670,20 +673,3 @@ def census_csv(censuses: list[StratumCensus]) -> str:
             buf.write(f"{census.q},{census.d},{rank},{census.counts[rank]}\n")
     return buf.getvalue()
 
-
-def weil_window_d1(q: int) -> tuple[int, int]:
-    """Heuristic curve window for d = 11: q + 1 +/- 2 g sqrt(q), genus 26.
-
-    Evidence only; the complex-geometric degree and genus statements are
-    not theorems over F_q, so misses downgrade to warnings, never failures.
-    """
-    genus = 26
-    spread = int(2 * genus * q ** 0.5) + 1
-    return (max(0, q + 1 - spread), q + 1 + spread)
-
-
-def hypersurface_window_d2(q: int) -> tuple[int, int]:
-    """Heuristic sextic-threefold window: q^3+q^2+q+1 +/- 6 q^2 sqrt(q)."""
-    center = q ** 3 + q ** 2 + q + 1
-    spread = int(6 * q * q * q ** 0.5) + 1
-    return (max(0, center - spread), center + spread)

@@ -76,15 +76,10 @@ def special_points_d9():
     return points
 
 
-def v_dot_R4(v) -> list[SparsePoly]:
-    """The nine quadrics in x0..x8 selected by v in V_+ (length 5)."""
-    return v_dot_R(v, 9)
-
-
 def base_point_check(v) -> bool:
     """Whether all nine quadrics of v . R vanish at the fixed base point."""
     point = [Fraction(c) for c in BASE_POINT]
-    return all(q.evaluate(point) == 0 for q in v_dot_R4(v))
+    return all(q.evaluate(point) == 0 for q in v_dot_R(v, 9))
 
 
 # -- the degenerate fiber ideal -------------------------------------------------
@@ -147,7 +142,7 @@ def degenerate_fiber_ideal() -> DegenerateFiberIdeal:
     # (0 : 1 : 0 : 0 : 0) projectively
     scale = next(c for c in image if c)
     v = [c / scale for c in image]
-    quadrics = [q.monic() for q in v_dot_R4(v)]
+    quadrics = [q.monic() for q in v_dot_R(v, 9)]
 
     M = moore_z0()
     cubics = {}

@@ -10,12 +10,15 @@ conjugate 5-dimensional constituent, the other has degree 34 where the
 symmetric cube of a 5-dimensional space has dimension 35.
 """
 
+import dataclasses
 import itertools
 import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from heisencheck import golden
 from heisencheck.chartab import (
@@ -37,10 +40,9 @@ from heisencheck.exactnum import quadratic_gauss_sum
 from heisencheck.ffscan import (
     ci_curve_points_d9,
     jacobian_zero_counts,
+    projective_point_count,
     scan_strata,
     special_points_d9_mod,
-    hypersurface_window_d2,
-    weil_window_d1,
 )
 from heisencheck.grassfano import (
     KLEIN_PF_SIGN,
@@ -51,7 +53,7 @@ from heisencheck.grassfano import (
     klein_from_hyperplanes,
     v14_relations_hold,
 )
-from heisencheck.heisenberg import s_matrix
+from heisencheck.heisenberg import s_matrix, v_dot_R
 from heisencheck.hilbert import (
     face_vector,
     graded_hilbert,
@@ -70,7 +72,6 @@ from heisencheck.surface9 import (
     j_family,
     restrict_point_d9,
     theta9_closed_form,
-    v_dot_R4,
 )
 
 
@@ -195,7 +196,7 @@ def test_c10_hilbert_functions():
 
         theta = theta9_closed_form()
         v = theta.evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-        nine_quadrics = graded_hilbert(v_dot_R4(v), 9, 3)
+        nine_quadrics = graded_hilbert(v_dot_R(v, 9), 9, 3)
         assert nine_quadrics[3] - 81 == 6
 
 
@@ -279,17 +280,51 @@ def test_c12d_invariant_multiplicities():
         assert decompose(sym_power_character(character(3), 3))[0] == 1
 
 
-def test_c13_scan_d11_windows_warn_only():
-    with criterion("scan.d11.q23 (warn-only)", 120.0):
+def test_c13_scan_d11_census_facts():
+    with criterion("scan.d11.q23", 120.0):
         census = scan_strata(11, 23)
-        assert census.total() == 292561
-        d1 = census.counts[0] + census.counts[2]
-        d2 = d1 + census.counts[4]
-        w1, w2 = weil_window_d1(23), hypersurface_window_d2(23)
-        in_window = w1[0] <= d1 <= w1[1] and w2[0] <= d2 <= w2[1]
-        # the window verdict is advisory; report it without failing
-        print(f"  d1={d1} in {w1}: {w1[0] <= d1 <= w1[1]}; "
-              f"d2={d2} in {w2}: {w2[0] <= d2 <= w2[1]}")
+        assert census.total() == projective_point_count(5, 23) == 292561
+        assert census.counts[0] == 0 and census.min_rank == 2
+        rank2 = set(census.min_rank_points)
+        assert len(rank2) == census.counts[2] == 60
+        for k in range(5):
+            assert tuple(int(i == k) for i in range(5)) in rank2
         status, details = check_scan_d11(RunContext(RunConfig()))
-        assert status in ("pass", "warn")
-        assert (status == "pass") == in_window
+        assert status == "pass"
+        assert details["prime"] == 23
+        assert details["counts"] == {"0": 0, "2": 60, "4": 15840, "6": 276661}
+        assert details["min_rank_2"] is True
+        assert details["coordinate_points_rank2"] is True
+        assert details["total_is_point_count"] is True
+
+
+def _mutant_census(census, name):
+    counts = dict(census.counts)
+    if name == "rank0":
+        counts[0] = 1
+        return dataclasses.replace(census, counts=counts)
+    if name == "total":
+        counts[6] -= 1
+        return dataclasses.replace(census, counts=counts)
+    points = tuple(p for p in census.min_rank_points if p != (0, 0, 0, 0, 1))
+    assert len(points) == len(census.min_rank_points) - 1
+    return dataclasses.replace(census, min_rank_points=points)
+
+
+@pytest.fixture(scope="module")
+def census_d11_q23():
+    return scan_strata(11, 23)
+
+
+@pytest.mark.parametrize("name,fact", [
+    ("rank0", "min_rank_2"),
+    ("total", "total_is_point_count"),
+    ("missing-e4", "coordinate_points_rank2"),
+])
+def test_c13_scan_d11_fails_on_a_wrong_census(census_d11_q23, name, fact):
+    ctx = RunContext(RunConfig())
+    # census_d11 is a cached_property, so the instance attribute overrides it
+    ctx.census_d11 = _mutant_census(census_d11_q23, name)
+    status, details = check_scan_d11(ctx)
+    assert status == "fail"
+    assert details[fact] is False

@@ -128,15 +128,14 @@ def test_render_text_summary_and_order():
     reports = [
         CheckReport("zz.ok", "pass", {}, 1),
         CheckReport("aa.bad", "fail", {}, 2),
-        CheckReport("mm.warn", "warn", {}, 3),
     ]
     text = render_report(reports, "text")
     lines = text.strip().splitlines()
     assert lines[0].startswith("aa.bad")
-    assert lines[1].startswith("mm.warn")
-    assert lines[-1] == "1 passed, 1 failed, 1 warnings"
+    assert lines[1].startswith("zz.ok")
+    assert lines[-1] == "1 passed, 1 failed"
     empty = render_report([], "text")
-    assert empty.strip() == "0 passed, 0 failed, 0 warnings"
+    assert empty.strip() == "0 passed, 0 failed"
     assert json.loads(render_report([], "json")) == []
 
 
@@ -191,6 +190,8 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch):
     # an empty jacobian_primes used to PASS klein.jacobian without checking any prime
     for line in ("jacobian_primes = 9,15", "jacobian_primes = 2", "jacobian_primes =",
                  "jacobian_primes = 2147483659",
+                 # a value that is not an integer used to be reported without its key
+                 "scan_prime_d9 = abc", "jacobian_primes = 3,x",
                  # a repeated key used to keep its last value silently
                  "scan_prime_d9 = 19\nscan_prime_d9 = 37"):
         config.write_text(line + "\n")

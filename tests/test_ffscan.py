@@ -16,7 +16,6 @@ from heisencheck.ffscan import (
     _leading_pfaffian_values,
     _orbit_representatives,
     _reduce,
-    DEFAULT_BLOCK,
     SCAN_BLOCK,
     check_scan_prime,
     census_csv,
@@ -943,7 +942,7 @@ def test_common_zeros_do_not_depend_on_the_block_size(q):
     for system in _jacobian_systems():
         expected = scan_common_zeros(system, 5, q).tolist()
         # block sizes below q also split the range of one coordinate
-        for block_size in (1, 7, DEFAULT_BLOCK):
+        for block_size in (1, 7, SCAN_BLOCK):
             assert common_zeros(system, 5, q, block_size=block_size).tolist() == expected
 
 
@@ -980,7 +979,7 @@ def _sparse_system(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_sparse_system(), st.sampled_from([1, 7, DEFAULT_BLOCK]))
+@given(_sparse_system(), st.sampled_from([1, 7, SCAN_BLOCK]))
 def test_common_zeros_match_the_scan_on_random_systems(system, block_size):
     ncoords, q, polys = system
     expected = scan_common_zeros(polys, ncoords, q).tolist()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from heisencheck.exactnum import CycloNum
+from heisencheck.heisenberg import v_dot_R
 from heisencheck.hilbert import (
     RANK_PRIMES,
     SimplicialComplex,
@@ -26,7 +27,6 @@ from heisencheck.surface9 import (
     j2_monomials,
     j_family,
     theta9_closed_form,
-    v_dot_R4,
 )
 from oracles import (
     degree_rows,
@@ -166,7 +166,7 @@ def test_stanley_reisner_identity():
 
 
 def test_graded_agrees_with_monomial_oracle():
-    for gens in (j1_generators(), j2_monomials(), v_dot_R4([0, 1, 0, 0, 0])):
+    for gens in (j1_generators(), j2_monomials(), v_dot_R([0, 1, 0, 0, 0], 9)):
         assert graded_hilbert(gens, 9, 5) == monomial_hilbert(gens, 9, 5)
 
 
@@ -188,7 +188,7 @@ def test_torus_family_reaches_9t2_at_degree_8():
     pytest.param(j_family(0, 1).generators(), id="J(0:1)"),
     pytest.param(j_family(Fraction(2, 3), Fraction(-5, 7)).generators(), id="J(2/3:-5/7)"),
     pytest.param(j1_generators(), id="J1"),
-    pytest.param(v_dot_R4([0, 1, 0, 0, 0]), id="monomial-fiber"),
+    pytest.param(v_dot_R([0, 1, 0, 0, 0], 9), id="monomial-fiber"),
 ])
 def test_one_pass_rows_match_the_two_pass_oracle(gens):
     # each integer row is a nonzero rational multiple of the oracle's row, in
@@ -370,7 +370,7 @@ def test_macaulay_matrices_match_the_row_loop_oracle(case):
 
 def test_macaulay_matrices_match_the_row_loop_oracle_on_the_family():
     for gens in (j_family(3, 7).generators(), j_family(Fraction(2, 3), Fraction(-5, 7)).generators(),
-                 j_family(0, 1).generators(), v_dot_R4([0, 1, 0, 0, 0])):
+                 j_family(0, 1).generators(), v_dot_R([0, 1, 0, 0, 0], 9)):
         for mat, want in zip(_dense_macaulay_matrices(gens, 9, 6),
                              row_loop_macaulay_matrices(gens, 9, 6), strict=True):
             assert mat.dtype == want.dtype and mat.shape == want.shape
@@ -386,11 +386,11 @@ def test_flatness_evidence():
 def test_cubic_gap_at_generic_image():
     theta = theta9_closed_form()
     v = theta.evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-    generic = graded_hilbert(v_dot_R4(v), 9, 3)
+    generic = graded_hilbert(v_dot_R(v, 9), 9, 3)
     assert generic[:3] == [1, 9, 36]
     assert generic[3] - 81 == 6
     # the monomial degeneration needs all 12 extra cubic generators instead
-    monomial_fiber = graded_hilbert(v_dot_R4([0, 1, 0, 0, 0]), 9, 3)
+    monomial_fiber = graded_hilbert(v_dot_R([0, 1, 0, 0, 0], 9), 9, 3)
     assert monomial_fiber[3] - 81 == 12
 
 
@@ -407,7 +407,7 @@ def test_j_family_macaulay_matrices_peel_to_nothing(lam, mu):
 
 def test_cubic_gap_matrix_peels_nine_rows():
     v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
-    width, cols, vals = list(_macaulay_matrices(v_dot_R4(v), 9, 3))[3]
+    width, cols, vals = list(_macaulay_matrices(v_dot_R(v, 9), 9, 3))[3]
     mat = _scatter(width, cols, vals)
     assert mat.shape == (81, 165)
     for reduced in (mat, *(mat % p for p in RANK_PRIMES)):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heisencheck import golden
-from heisencheck.heisenberg import s_matrix
+from heisencheck.heisenberg import s_matrix, v_dot_R
 from heisencheck.mpoly import SparsePoly, render_poly
 from heisencheck.surface9 import (
     BASE_POINT,
@@ -24,7 +24,6 @@ from heisencheck.surface9 import (
     sigma_orbit,
     special_points_d9,
     theta9_closed_form,
-    v_dot_R4,
 )
 
 X4 = ["x1", "x2", "x3", "x4"]
@@ -56,7 +55,7 @@ def test_base_point_vanishing():
     assert not base_point_check([1, 0, 0, 0, 0])
     # structural reason: at the base point only rows 0 and 3 contribute
     point = [Fraction(c) for c in BASE_POINT]
-    values = [q.evaluate(point) for q in v_dot_R4([1, 0, 0, 0, 0])]
+    values = [q.evaluate(point) for q in v_dot_R([1, 0, 0, 0, 0], 9)]
     assert values.count(0) == 6 and values.count(1) == 3
 
 
