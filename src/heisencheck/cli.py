@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 from .checks import PASS, FAIL, CheckReport, RunConfig, SUITES, exit_code, run_suite
 from .ffscan import census_csv, scan_strata
@@ -50,8 +49,12 @@ def render_report(reports: list[CheckReport], fmt: str) -> str:
 
 
 def write_atomic(path: str, content: str) -> None:
+    """Write through a new file in the same directory and one os.replace.
+    The file is created with mode 0o666 less the umask, as open(path, "w")
+    creates one; O_EXCL refuses a name that is already taken."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    tmp = os.path.join(directory, f".report-{os.getpid()}-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(content)

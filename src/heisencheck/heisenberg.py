@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import CycloNum
 from .linalg import RowBasis
 from .mpoly import SparsePoly
 from .pfaffian import SkewMatrix
@@ -27,22 +26,6 @@ def sigma(f: SparsePoly, d: int, k: int = 1) -> SparsePoly:
     for exps, c in f.terms.items():
         new = tuple(exps[(j + k) % d] for j in range(d))
         out[new] = c
-    return SparsePoly(d, out)
-
-
-def tau(f: SparsePoly, d: int, k: int = 1) -> SparsePoly:
-    """k-fold scaling; each monomial picks up xi^(-k * weight)."""
-    if f.nvars != d:
-        raise ValueError("polynomial does not live in the d-variable ring")
-    out = {}
-    for exps, c in f.terms.items():
-        w = sum(i * e for i, e in enumerate(exps)) % d
-        factor = CycloNum.root(d, (-k * w) % d)
-        if isinstance(c, CycloNum):
-            coeff = c * factor
-        else:
-            coeff = factor * c
-        out[exps] = coeff
     return SparsePoly(d, out)
 
 
@@ -78,7 +61,7 @@ def v_dot_R(v, d: int) -> list[SparsePoly]:
 # -- span membership -------------------------------------------------------------
 
 
-def _weight_components(f: SparsePoly, d: int) -> list[dict]:
+def weight_components(f: SparsePoly, d: int) -> list[dict]:
     """The terms of f split by the weight sum(i * e_i) mod d of their
     monomials; tau scales the component of weight w by xi^(-w)."""
     parts: dict[int, dict] = {}
@@ -104,7 +87,7 @@ def span_is_group_invariant(polys: list[SparsePoly], d: int) -> bool:
     for f in polys:
         if basis.insert(sigma(f, d).terms):
             return False
-        parts = _weight_components(f, d)
+        parts = weight_components(f, d)
         if len(parts) > 1 and any(basis.insert(g) for g in parts):
             return False
     return True

@@ -1,19 +1,20 @@
-"""Hilbert functions: combinatorial for monomial ideals, degreewise linear
-algebra for general homogeneous ideals.
+"""Hilbert functions of homogeneous ideals by degreewise linear algebra.
 
+graded_hilbert is the one entry point; its generators are SparsePolys.
 Monomials are packed into int64 in base t_max + 1, so every product is an
 addition and every lookup one searchsorted.  Everything is built over the
 standard monomials of the monomial generators: std[t], the degree-t
 monomials outside their ideal, comes from std[t - 1] degree by degree, so
 the work follows the 9 t^2 survivors of J(lambda:mu), not all
-C(t + 8, 8) monomials.  A monomial ideal's Hilbert function is len(std[t]).
+C(t + 8, 8) monomials.
 
-For a general ideal the monomial generators are split off first: their
-degree-t multiples are standard basis vectors, so the Macaulay matrix
-needs only the columns std[t] and the multipliers std[t - deg g] of each
-other generator.  Each of those is cleared of denominators once, and its
-rows are built with array operations as padded (column, integer) pairs,
-never as a dense matrix.  The rows are very sparse (about 2.4 nonzeros per
+The monomial generators' degree-t multiples are standard basis vectors,
+so the Macaulay matrix needs only the columns std[t] and the multipliers
+std[t - deg g] of each other generator; for a monomial ideal every
+matrix is empty and the value is len(std[t]).  Each non-monomial
+generator is cleared of denominators once, and its rows are built with
+array operations as padded (column, integer) pairs, never as a dense
+matrix.  The rows are very sparse (about 2.4 nonzeros per
 row at t = 8 for J(lambda:mu)), so a peel of singleton columns over Z
 (linalg._peel_singletons, on the nonzero pattern, in rounds) comes first:
 a column whose only nonzero lies in row i makes row i independent over Q.
@@ -54,9 +55,8 @@ def _check_inputs(generators, nvars: int, t_max: int) -> None:
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     for g in generators:
-        width = len(g) if isinstance(g, tuple) else g.nvars
-        if width != nvars:
-            raise ValueError(f"generator {g} is in {width} variables, not {nvars}")
+        if g.nvars != nvars:
+            raise ValueError(f"generator {g} is in {g.nvars} variables, not {nvars}")
 
 
 def _packing_weights(nvars: int, t_max: int) -> np.ndarray:
@@ -99,36 +99,17 @@ def _standard_monomials(nvars: int, t_max: int, monomials) -> list[np.ndarray]:
     return std
 
 
-def monomial_hilbert(generators, nvars: int, t_max: int) -> list[int]:
-    """values[t] = number of degree-t monomials outside the monomial ideal.
-
-    Generators are monomial SparsePolys or exponent tuples.
-    """
-    generators = list(generators)
-    _check_inputs(generators, nvars, t_max)
-    divisors = []
-    for g in generators:
-        exps = g if isinstance(g, tuple) else monomial_exponents(g)
-        if exps is None:
-            raise ValueError(f"non-monomial generator {g}")
-        divisors.append(exps)
-    weights = _packing_weights(nvars, t_max)
-    monomials = [(sum(e), int(np.dot(e, weights))) for e in divisors if sum(e) <= t_max]
-    return [len(s) for s in _standard_monomials(nvars, t_max, monomials)]
-
-
 class SimplicialComplex:
     """The complex of squarefree monomials outside a squarefree ideal."""
 
-    def __init__(self, nvars: int, faces: set[frozenset]) -> None:
-        self.nvars = nvars
+    def __init__(self, faces: set[frozenset]) -> None:
         self.faces = faces
 
     @classmethod
     def from_squarefree_ideal(cls, generators, nvars: int) -> "SimplicialComplex":
         supports = []
         for g in generators:
-            exps = g if isinstance(g, tuple) else monomial_exponents(g)
+            exps = monomial_exponents(g)
             if exps is None or any(e > 1 for e in exps):
                 raise ValueError(f"generator {g} is not squarefree")
             supports.append(frozenset(i for i, e in enumerate(exps) if e))
@@ -139,7 +120,7 @@ class SimplicialComplex:
                 face = frozenset(combo)
                 if not any(s <= face for s in supports):
                     faces.add(face)
-        return cls(nvars, faces)
+        return cls(faces)
 
     def face_vector(self) -> tuple[int, ...]:
         """(f_0, f_1, ...): counts by dimension, empty face omitted."""

@@ -114,15 +114,12 @@ class SkewMatrix:
         if self.size % 2:
             raise ValueError("Pfaffian adjugate needs even size")
         memo: dict = {}
-        all_idx = range(self.size)
         upper = {}
         for i in range(self.size):
             for j in range(i + 1, self.size):
-                keep = tuple(k for k in all_idx if k not in (i, j))
-                v = self._pf(keep, memo)
+                v = self.sub_pfaffian((i, j), memo)
                 if v:
-                    sign = 1 if (i + j) % 2 == 0 else -1
-                    upper[(i, j)] = v if sign == 1 else -v
+                    upper[(i, j)] = v if (i + j) % 2 == 0 else -v
         return SkewMatrix(self.size, upper)
 
     def kernel_vector(self) -> list:
@@ -132,8 +129,7 @@ class SkewMatrix:
         memo: dict = {}
         out = []
         for i in range(self.size):
-            keep = tuple(k for k in range(self.size) if k != i)
-            v = self._pf(keep, memo)
+            v = self.sub_pfaffian((i,), memo)
             out.append(v if i % 2 == 0 else -v)
         return out
 

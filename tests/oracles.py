@@ -25,7 +25,7 @@ from heisencheck.ffscan import (
     point_blocks,
     projective_point_count,
 )
-from heisencheck.heisenberg import s_matrix, sigma, tau
+from heisencheck.heisenberg import s_matrix, sigma
 from heisencheck.linalg import _peel_singletons
 from heisencheck.mpoly import SparsePoly, graded_monomials, grevlex_key, monomial_exponents
 
@@ -205,7 +205,7 @@ def peel_row_by_row(matrix: np.ndarray) -> tuple[int, list[int], list[int]]:
         live[np.flatnonzero(live)[nonzero[:, singleton[0]].argmax()]] = False
 
 
-# -- the slow path behind hilbert.monomial_hilbert ------------------------------
+# -- the slow path behind hilbert._standard_monomials ---------------------------
 
 
 def divisor_loop_standard(generators, nvars: int, t_max: int) -> list[list[tuple]]:
@@ -619,7 +619,19 @@ def independent_sub_pfaffians(m, sizes=(2, 4)) -> dict:
             for r in sizes for idx in combinations(range(m.size), r)}
 
 
-# -- the slow path behind heisenberg.span_is_group_invariant ----------------------
+# -- the slow paths behind heisenberg.weight_components and span_is_group_invariant
+
+
+def tau(f: SparsePoly, d: int, k: int = 1) -> SparsePoly:
+    """k-fold scaling x_i -> xi^(-k i) x_i in Q(xi_d); each monomial picks
+    up xi^(-k * weight)."""
+    if f.nvars != d:
+        raise ValueError("polynomial does not live in the d-variable ring")
+    out = {}
+    for exps, c in f.terms.items():
+        w = sum(i * e for i, e in enumerate(exps)) % d
+        out[exps] = CycloNum.root(d, (-k * w) % d) * c
+    return SparsePoly(d, out)
 
 
 class CycloRowBasis:

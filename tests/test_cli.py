@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,34 @@ def test_verify_subcommand_writes_report(tmp_path, capsys):
     assert any(item["check_id"] == "d9.fiber.ideal" for item in payload)
     out = capsys.readouterr().out
     assert "wrote" in out
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_reports_get_the_mode_of_a_plain_write(umask, tmp_path, capsys):
+    previous = os.umask(umask)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w", encoding="utf-8") as handle:
+            handle.write("x")
+        report, csv = tmp_path / "report.json", tmp_path / "census.csv"
+        assert main(["verify", "--suite", "hilbert", "--report", str(report)]) == 0
+        assert main(["scan", "--d", "9", "--prime", "19", "--csv", str(csv)]) == 0
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    assert mode == 0o666 & ~umask
+    assert stat.S_IMODE(report.stat().st_mode) == stat.S_IMODE(csv.stat().st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["census.csv", "plain.txt", "report.json"]
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        cli.write_atomic(str(tmp_path / "report.json"), "{}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_json_to_stdout(capsys):

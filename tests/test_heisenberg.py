@@ -14,11 +14,11 @@ from heisencheck.heisenberg import (
     s_matrix,
     sigma,
     span_is_group_invariant,
-    tau,
     v_dot_R,
+    weight_components,
 )
 from heisencheck.mpoly import SparsePoly
-from oracles import cyclo_span_is_group_invariant
+from oracles import cyclo_span_is_group_invariant, tau
 
 
 def rand_poly(rng, d):
@@ -61,6 +61,25 @@ def test_tau_scales_by_weight():
         w = (i + (i + 2) % d) % d
         expected = m.scale(CycloNum.root(d, (-w) % d))
         assert tau(m, d) == expected
+
+
+@pytest.mark.parametrize("d", [9, 11])
+def test_one_weight_component_is_a_tau_eigenvector(d):
+    # tau scales the weight-w part by xi^(-w), distinct for w mod d
+    def is_eigenvector(f):
+        lead_e, lead_c = tau(f, d).leading_term()
+        return tau(f, d) == f.scale(lead_c / f.terms[lead_e])
+
+    rng = random.Random(d)
+    for _ in range(40):
+        f = rand_poly(rng, d)
+        if f.is_zero():
+            continue
+        parts = weight_components(f, d)
+        assert sum(len(p) for p in parts) == len(f.terms)
+        assert is_eigenvector(f) == (len(parts) == 1)
+        for part in parts:
+            assert is_eigenvector(SparsePoly(d, part))
 
 
 @pytest.mark.parametrize("d", [9, 11])

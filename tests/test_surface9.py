@@ -93,7 +93,8 @@ def test_sigma_orbits():
 
 
 def test_fiber_generators_are_heisenberg_invariant():
-    from heisencheck.heisenberg import sigma, tau
+    from heisencheck.heisenberg import sigma
+    from oracles import tau
 
     fib = degenerate_fiber_ideal()
     gens = fib.generators()
