@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 
 from .checks import PASS, FAIL, CheckReport, RunConfig, SUITES, exit_code, run_suite
@@ -50,13 +51,20 @@ def render_report(reports: list[CheckReport], fmt: str) -> str:
 
 def write_atomic(path: str, content: str) -> None:
     """Write through a new file in the same directory and one os.replace.
-    The file is created with mode 0o666 less the umask, as open(path, "w")
-    creates one; O_EXCL refuses a name that is already taken."""
+    A new file gets mode 0o666 less the umask, as open(path, "w") creates
+    one, and a replaced file keeps its mode, as open(path, "w") keeps it;
+    O_EXCL refuses a temporary name that is already taken."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".report-{os.getpid()}-{os.urandom(6).hex()}")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             handle.write(content)
         os.replace(tmp, path)
     except BaseException:

@@ -33,10 +33,11 @@ once per d and split into coefficient polynomials of the powers of the
 last coordinate.  A run is the rows that agree in every coordinate but the
 last: q rows in scan order, or the single point (0, ..., 0, 1).  The
 enumerator yields cache-sized blocks (SCAN_BLOCK rows) of whole runs, or
-pieces of one run when q exceeds the block size, and fills each column by
-broadcasting, never by dividing the point index: the last coordinate is a
-tiled 0, ..., q-1 (a run split across blocks is filled like any other
-digit) and a coordinate that changes every s rows is a (rows/s, s) view
+pieces of one run when q exceeds the block size, and never divides the
+point index to fill a column: a coordinate that changes every s rows
+repeats with period s q, so where that period fits a block its column is
+one contiguous copy out of a pattern (0, ..., q-1, each s times, tiled),
+built once per enumeration; a longer period is a (rows/s, s) view
 assigned its digits.  A block holds its coordinates in the narrowest
 unsigned type that holds q-1 (np.min_scalar_type: one byte per coordinate
 up to q = 256, two up to 65536, four above), and every kernel widens them
@@ -47,7 +48,11 @@ a partial run filtered row by row.  The kernel tests once per call, with
 one compare of the prefix columns read as a (runs, q, m-1) view, whether
 the rows are whole runs.  If so it evaluates the coefficients once per run, at its
 first row; if not, at every row.  Either way it finishes every point by
-Horner's rule in int64, so any rows in any order get exact values.
+Horner's rule in int64, so any rows in any order get exact values, and
+never reduces the result: q divides the accumulator exactly where its
+product with q^-1 mod 2^64 is at most (2^64 - 1) / q (Granlund and
+Montgomery), one multiply and one compare.  That needs q odd, which every
+census prime is (q = 1 mod 9 or mod 11).
 
 Only where the leading Pfaffian vanishes (about 1/q of the points) is the
 rank told apart from 2.  Every upper entry of the matrix is +/-x_a x_b, so
@@ -63,8 +68,9 @@ scan.d11.q23 asserts both facts of its census.
 
 Every reduction mod q is x - (x // q) q, which numpy computes without a
 hardware divide, and it is made only when the next multiply or add could
-reach 2^63.  Every entry point takes q through exactnum.check_modulus, a
-prime below 2^31, so each product of two residues is below 2^62.
+reach 2^63, or where a value mod q is returned.  Every entry point takes q
+through exactnum.check_modulus, a prime below 2^31, so each product of two
+residues is below 2^62.
 
 The common-zero sieve (common_zeros) finds the points where a system of
 polynomials vanishes without visiting every point.  It assigns one
@@ -141,27 +147,41 @@ def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
     (np.min_scalar_type: uint8 up to q = 256, uint16 up to 65536, uint32
     above), so a coordinate takes one byte at the census primes; every
     kernel widens the entries to int64 before it multiplies them.
+
+    The free coordinate that changes every s rows (s = q^k for the k-th
+    from the last) holds (start + i) // s % q at row i of a block starting
+    at start, a column of period s q.  Where that period fits a block,
+    the column is one contiguous copy out of a pattern built once per call:
+    0, ..., q-1 each repeated s times, tiled to step + s q rows (fewer if
+    the enumeration is shorter), read from start mod s q.  Longer periods, and every column when
+    q > block_size, are filled by _fill_digit, so no pattern is built then.
     """
     dtype = np.min_scalar_type(q - 1)
-    # whole runs tile a block only when q <= block_size; only then is the ramp used
-    ramp = np.arange(q, dtype=dtype) if q <= block_size else None
+    # every lead position with a free coordinate starts its blocks at
+    # multiples of step, and none has more rows than the first one's
+    # q^(ncoords-1), so a block reads a pattern no further than either
+    step = block_size // q * q or block_size
+    longest = q ** (ncoords - 1)
+    patterns = []  # patterns[k] is the column of stride q^k
+    period = q
+    while period <= block_size and len(patterns) < ncoords - 1:
+        digits = np.repeat(np.arange(q, dtype=dtype), period // q)
+        patterns.append(np.resize(digits, min(step + period, longest)))
+        period *= q
     for lead in range(ncoords):
         free = ncoords - lead - 1
         total = q ** free
-        run = q if free else 1
-        step = block_size // run * run or block_size
-        for start in range(0, total, step):
+        for start in range(0, total, step if free else 1):
             size = min(step, total - start)
             # column-major, so each coordinate is one contiguous array
             block = np.empty((ncoords, size), dtype=dtype).T
             block[:, :lead] = 0
             block[:, lead] = 1
-            if free and step % q == 0:
-                block[:, -1].reshape(-1, q)[:] = ramp
-            elif free:
-                _fill_digit(block[:, -1], start, 1, q)
-            for pos in range(lead + 1, ncoords - 1):
-                _fill_digit(block[:, pos], start, q ** (ncoords - 1 - pos), q)
+            for k, pattern in enumerate(patterns[:free]):
+                offset = start % q ** (k + 1)
+                block[:, ncoords - 1 - k] = pattern[offset:offset + size]
+            for k in range(len(patterns), free):
+                _fill_digit(block[:, ncoords - 1 - k], start, q ** k, q)
             yield block
             # so the caller holds the only reference while the next is built
             del block
@@ -175,7 +195,9 @@ def _fill_digit(column: np.ndarray, start: int, s: int, q: int) -> None:
     segments = (column.shape[0] - head) // s
     end = head + segments * s
     if segments:  # a (0, s) view cannot be made for s beyond int64
-        column[head:end].reshape(segments, s)[:] = ((first + np.arange(segments)) % q)[:, None]
+        # digits in the column's type: a broadcast that also casts is ten times slower
+        digits = ((first + np.arange(segments)) % q).astype(column.dtype)
+        column[head:end].reshape(segments, s)[:] = digits[:, None]
     column[end:] = (first + segments) % q
 
 
@@ -299,14 +321,16 @@ def _leading_pfaffian(d: int) -> tuple[SparsePoly, ...]:
 
 
 def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
-    """sum_j c_j t^j mod q, given c_k, ..., c_0; every value lies in [0, q).
+    """sum_j c_j t^j given c_k, ..., c_0 in [0, q): an int64 value in
+    [0, 2^63) congruent to it mod q, not reduced into [0, q).
 
     Each c_j broadcasts against t, e.g. one value per run, shape (runs, 1),
     against the last coordinates, shape (runs, L), in int64 or a narrower
     integer type: the accumulator is int64, so acc * t widens t.  It is reduced
-    only when the next step could leave int64: with acc <= bound,
+    only when the next step could leave int64: with 0 <= acc <= bound,
     acc * t + c <= bound (q-1) + q-1, and right after a reduction that is
-    below q^2.
+    below q^2.  Callers that only ask whether the value vanishes mod q test
+    the accumulator with _multiple_of, which needs no reduction.
     """
     top, *rest = coeffs_from_top
     acc = np.empty(np.broadcast_shapes(np.shape(top), t.shape), dtype=np.int64)
@@ -319,11 +343,28 @@ def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
         acc *= t
         acc += c
         bound = bound * (q - 1) + q - 1
-    return _reduce(acc, q)
+    return acc
 
 
-def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
-    """The leading Pfaffian mod q at every row, by Horner in the last coordinate.
+def _multiple_of(n: np.ndarray, q: int) -> np.ndarray:
+    """n % q == 0 for int64 n in [0, 2^63) and odd q, by one multiply; n is
+    overwritten.
+
+    Granlund-Montgomery (PLDI 1994; Lemire, Kaser and Kurz 2019): q is a
+    unit mod 2^64, so n -> n q^-1 mod 2^64 permutes [0, 2^64) and carries
+    the multiples k q, 0 <= k <= floor((2^64 - 1) / q), to k; so q divides
+    n exactly where n q^-1 mod 2^64 <= floor((2^64 - 1) / q).  That is one
+    wrapping uint64 multiply and one compare, in place of x - (x // q) q
+    and a compare with 0.
+    """
+    wrapped = n.view(np.uint64)
+    wrapped *= np.uint64(pow(q, -1, 2 ** 64))  # ValueError for even q
+    return wrapped <= np.uint64((2 ** 64 - 1) // q)
+
+
+def _leading_pfaffian_vanishes(d: int, q: int, pts: np.ndarray) -> np.ndarray:
+    """Where the leading Pfaffian vanishes mod q, as a boolean mask over the
+    rows; by Horner in the last coordinate.
 
     When the rows are whole runs (n a multiple of q, and each q consecutive
     rows share their prefix, decided by one compare over the whole block)
@@ -333,7 +374,10 @@ def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
 
     The rows may hold any integer type (point_blocks gives the narrowest
     unsigned one): the coefficients and Horner's accumulator are int64, so
-    every product widens the last coordinate.
+    every product widens the last coordinate.  The accumulator is never
+    reduced mod q: _multiple_of tests it directly, which needs q odd.
+    Every census prime is: check_scan_prime takes only q = 1 mod 9 or
+    mod 11, and q = 2 is neither.
     """
     n, m = pts.shape
     length = 1
@@ -344,7 +388,7 @@ def _leading_pfaffian_values(d: int, q: int, pts: np.ndarray) -> np.ndarray:
             length = q
     first = pts[::length]
     coeffs = [evaluate_poly_batch(c, first, q)[:, None] for c in _leading_pfaffian(d)[::-1]]
-    return _horner(coeffs, pts[:, -1].reshape(-1, length), q).reshape(n)
+    return _multiple_of(_horner(coeffs, pts[:, -1].reshape(-1, length), q), q).reshape(n)
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +433,7 @@ def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     ranks = np.full(pts.shape[0], matrix.size - matrix.size % 2, dtype=np.int8)
     if not pts.shape[0]:
         return ranks
-    low = np.flatnonzero(_leading_pfaffian_values(d, q, pts) == 0)
+    low = np.flatnonzero(_leading_pfaffian_vanishes(d, q, pts))
     ranks[low] = 4
     first, second, sign, pfaffians = _entry_gather(d)
     sub = pts[low]

@@ -169,6 +169,27 @@ def test_reports_get_the_mode_of_a_plain_write(umask, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["census.csv", "plain.txt", "report.json"]
 
 
+def test_a_replaced_report_keeps_its_mode(tmp_path, capsys):
+    previous = os.umask(0o022)
+    try:
+        kept = {}
+        for mode in (0o600, 0o640):
+            report = tmp_path / f"report-{mode:o}.json"
+            report.write_text("old")
+            report.chmod(mode)
+            assert main(["verify", "--suite", "hilbert", "--report", str(report)]) == 0
+            kept[mode] = stat.S_IMODE(report.stat().st_mode)
+            assert report.read_text() != "old"
+        fresh = tmp_path / "new.json"
+        cli.write_atomic(str(fresh), "{}")
+    finally:
+        os.umask(previous)
+    assert kept == {0o600: 0o600, 0o640: 0o640}
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "report-600.json",
+                                                          "report-640.json"]
+
+
 def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("replace refused")

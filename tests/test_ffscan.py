@@ -13,7 +13,8 @@ from heisencheck.ffscan import (
     _batch_ranks,
     _entry_gather,
     _horner,
-    _leading_pfaffian_values,
+    _leading_pfaffian_vanishes,
+    _multiple_of,
     _orbit_representatives,
     _reduce,
     SCAN_BLOCK,
@@ -171,6 +172,20 @@ def test_point_blocks_split_runs_longer_than_a_block():
     expected[:, 0] = 1
     expected[:, 3], expected[:, 4] = np.divmod(index, q)
     assert np.array_equal(np.concatenate(blocks), expected)
+
+
+# digit periods q^(k+1) at, one below and one above the block size: the
+# boundary between a column copied from its period and one of _fill_digit
+@pytest.mark.parametrize("ncoords,q", [(4, 7), (5, 5), (3, 11)])
+def test_point_blocks_at_digit_period_boundaries(ncoords, q):
+    dense = canonical_points(ncoords, q)
+    for k in range(ncoords - 1):
+        for block_size in (q ** (k + 1) - 1, q ** (k + 1), q ** (k + 1) + 1):
+            blocks = list(point_blocks(ncoords, q, block_size))
+            assert np.array_equal(np.concatenate(blocks), dense)
+            edges = _block_edges(ncoords, q, block_size)
+            assert np.diff(edges).tolist() == [len(block) for block in blocks]
+            assert {block.dtype for block in blocks} == {np.dtype(np.uint8)}
 
 
 def test_first_block_allocates_no_table_of_the_field():
@@ -459,7 +474,8 @@ def test_batch_ranks_agree_with_elimination():
                                LARGEST_CLOSED_FORM_Q, LARGEST_SCAN_Q])
 def test_horner_steps_stay_inside_int64(q):
     # acc = t = c = q - 1 is the widest a step can be; from a reduced
-    # accumulator it is (q-1)^2 + (q-1) < q^2 < 2^62
+    # accumulator it is (q-1)^2 + (q-1) < q^2 < 2^62.  The accumulator comes
+    # back unreduced: in [0, 2^63) and congruent to the value mod q
     assert (q - 1) ** 2 + (q - 1) < q ** 2 < 2 ** 62
     # one coefficient per point, then one (runs, 1) column per run against
     # (runs, L) last coordinates
@@ -469,16 +485,46 @@ def test_horner_steps_stay_inside_int64(q):
         for degree in range(7):
             expected = sum((q - 1) ** (j + 1) for j in range(degree + 1)) % q
             values = _horner([column] * (degree + 1), wide, q)
-            assert values.shape == t_shape
-            assert (values == expected).all()
+            assert values.shape == t_shape and values.dtype == np.int64
+            assert (values >= 0).all()
+            assert (values % q == expected).all()
         assert (wide == q - 1).all() and (column == q - 1).all()
     rng = np.random.default_rng(q)
     t = rng.integers(0, q, (3, 5))
     coeffs = [rng.integers(0, q, (3, 1)) for _ in range(5)]
     values = _horner(coeffs, t, q)
+    assert (values >= 0).all()
     for (i, j), x in np.ndenumerate(t):
-        assert values[i, j] == sum(int(c[i, 0]) * int(x) ** (4 - k)
-                                   for k, c in enumerate(coeffs)) % q
+        assert values[i, j] % q == sum(int(c[i, 0]) * int(x) ** (4 - k)
+                                       for k, c in enumerate(coeffs)) % q
+
+
+def _multiple_of_cases(q):
+    """int64 values in [0, 2^63): the edges around q, then random ones."""
+    top = (2 ** 63 - 1) // q * q  # the largest multiple of q below 2^63
+    edges = [0, 1, q - 1, q, q + 1, 2 * q, top - q, top - 1, top, top + 1, 2 ** 63 - 1]
+    return st.one_of(st.sampled_from(edges), st.integers(0, 2 ** 63 - 1),
+                     st.integers(0, (2 ** 63 - 1) // q).map(lambda k: k * q))
+
+
+# the census primes, the least prime above 2^16 and the largest census q
+@pytest.mark.parametrize("q", [19, 23, 67, 109, 65539, LARGEST_SCAN_Q])
+def test_multiple_of_decides_divisibility(q):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_multiple_of_cases(q), min_size=1, max_size=20))
+    def run(values):
+        x = np.array(values, dtype=np.int64)
+        # the reduce-and-compare the kernel used before is the oracle
+        expected = _reduce(x.copy(), q) == 0
+        assert (expected == (x % q == 0)).all()
+        assert (_multiple_of(x.copy(), q) == expected).all()
+
+    run()
+
+
+def test_multiple_of_refuses_an_even_modulus():
+    with pytest.raises(ValueError):
+        _multiple_of(np.arange(4, dtype=np.int64), 2)
 
 
 def test_batch_ranks_of_no_points():
@@ -682,7 +728,7 @@ def test_coefficients_are_evaluated_once_per_run(monkeypatch, d, q):
     blocks = list(point_blocks((d - 1) // 2, q, block_size=40 * q + 3))
     for block in blocks:
         sizes.clear()
-        _leading_pfaffian_values(d, q, block)
+        _leading_pfaffian_vanishes(d, q, block)
         assert sizes and set(sizes) == {max(1, len(block) // q)}
     # a multiple of q rows, one run broken by a row of the run before it:
     # the block is not whole runs, so every row is evaluated
@@ -690,7 +736,7 @@ def test_coefficients_are_evaluated_once_per_run(monkeypatch, d, q):
     broken[q + 1] = broken[0]
     assert len(broken) % q == 0 and len(broken) > q
     sizes.clear()
-    _leading_pfaffian_values(d, q, broken)
+    _leading_pfaffian_vanishes(d, q, broken)
     assert sizes and set(sizes) == {len(broken)}
     assert (_batch_ranks(d, q, broken) == closed_form_ranks(d, q, broken)).all()
 
