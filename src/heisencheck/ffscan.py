@@ -37,22 +37,26 @@ pieces of one run when q exceeds the block size, and never divides the
 point index to fill a column: a coordinate that changes every s rows
 repeats with period s q, so where that period fits a block its column is
 one contiguous copy out of a pattern (0, ..., q-1, each s times, tiled),
-built once per enumeration; a longer period is a (rows/s, s) view
-assigned its digits.  A block holds its coordinates in the narrowest
-unsigned type that holds q-1 (np.min_scalar_type: one byte per coordinate
-up to q = 256, two up to 65536, four above), and every kernel widens them
-to int64 before it multiplies.  The census takes the representatives from
-each block as views of its contiguous stretches of whole runs, apart from each
-lead's head (the points whose only nonzero free coordinate is the last),
-a partial run filtered row by row.  The kernel tests once per call, with
-one compare of the prefix columns read as a (runs, q, m-1) view, whether
-the rows are whole runs.  If so it evaluates the coefficients once per run, at its
-first row; if not, at every row.  Either way it finishes every point by
-Horner's rule in int64, so any rows in any order get exact values, and
-never reduces the result: q divides the accumulator exactly where its
-product with q^-1 mod 2^64 is at most (2^64 - 1) / q (Granlund and
-Montgomery), one multiply and one compare.  That needs q odd, which every
-census prime is (q = 1 mod 9 or mod 11).
+built once per enumeration; a longer period is a (rows/s, s) view assigned
+its digits.  A block holds its coordinates in the narrowest unsigned type
+that holds q-1 (np.min_scalar_type: one byte per coordinate up to q = 256,
+two up to 65536, four above); polynomial evaluation and the 4x4 Pfaffians
+widen them to int64 before they multiply, and Horner's rule casts the last
+coordinate once into its own lane.  The census takes the representatives
+from each block as views of its contiguous stretches of whole runs, apart
+from each lead's head (the points whose only nonzero free coordinate is
+the last), a partial run filtered row by row.  The kernel tests once per
+call, with one compare of the prefix columns read as a (runs, q, m-1)
+view, whether the rows are whole runs.  If so it evaluates the
+coefficients once per run, at its first row; if not, at every row.  Either
+way it finishes every point by Horner's rule, so any rows in any order get
+exact values, in the narrowest unsigned lane that holds its unreduced
+bound (uint32 for d = 11 at q = 67, uint16 for d = 9 at q = 109, uint64
+with reductions past 2^64), and never reduces the result: q divides the
+accumulator exactly where its product with q^-1 mod 2^bits (bits the
+lane's width) is at most (2^bits - 1) / q (Granlund and Montgomery), one
+multiply and one compare.  That needs q odd, which every census prime is
+(q = 1 mod 9 or mod 11).
 
 Only where the leading Pfaffian vanishes (about 1/q of the points) is the
 rank told apart from 2.  Every upper entry of the matrix is +/-x_a x_b, so
@@ -68,9 +72,9 @@ scan.d11.q23 asserts both facts of its census.
 
 Every reduction mod q is x - (x // q) q, which numpy computes without a
 hardware divide, and it is made only when the next multiply or add could
-reach 2^63, or where a value mod q is returned.  Every entry point takes q
-through exactnum.check_modulus, a prime below 2^31, so each product of two
-residues is below 2^62.
+reach 2^63 (2^64 in Horner's uint64 lane), or where a value mod q is
+returned.  Every entry point takes q through exactnum.check_modulus, a
+prime below 2^31, so each product of two residues is below 2^62.
 
 The common-zero sieve (common_zeros) finds the points where a system of
 polynomials vanishes without visiting every point.  It assigns one
@@ -145,8 +149,8 @@ def point_blocks(ncoords: int, q: int, block_size: int = SCAN_BLOCK):
 
     Every block holds the narrowest unsigned type that holds q - 1
     (np.min_scalar_type: uint8 up to q = 256, uint16 up to 65536, uint32
-    above), so a coordinate takes one byte at the census primes; every
-    kernel widens the entries to int64 before it multiplies them.
+    above), so a coordinate takes one byte at the census primes; the
+    kernels cast the entries to a wider lane before they multiply them.
 
     The free coordinate that changes every s rows (s = q^k for the k-th
     from the last) holds (start + i) // s % q at row i of a block starting
@@ -204,7 +208,7 @@ def _fill_digit(column: np.ndarray, start: int, s: int, q: int) -> None:
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     """x mod q in place, into [0, q); returns x.
 
-    numpy divides int64 by a scalar without the hardware divide, so
+    numpy divides int64 or uint64 by a scalar without the hardware divide, so
     x - (x // q) q is about twice as fast as np.remainder.
     """
     x -= x // q * q
@@ -321,23 +325,29 @@ def _leading_pfaffian(d: int) -> tuple[SparsePoly, ...]:
 
 
 def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
-    """sum_j c_j t^j given c_k, ..., c_0 in [0, q): an int64 value in
-    [0, 2^63) congruent to it mod q, not reduced into [0, q).
+    """sum_j c_j t^j given c_k, ..., c_0 in [0, q), congruent to it mod q
+    but not reduced, in the narrowest unsigned lane that holds it.
 
     Each c_j broadcasts against t, e.g. one value per run, shape (runs, 1),
-    against the last coordinates, shape (runs, L), in int64 or a narrower
-    integer type: the accumulator is int64, so acc * t widens t.  It is reduced
-    only when the next step could leave int64: with 0 <= acc <= bound,
-    acc * t + c <= bound (q-1) + q-1, and right after a reduction that is
-    below q^2.  Callers that only ask whether the value vanishes mod q test
-    the accumulator with _multiple_of, which needs no reduction.
+    against the last coordinates, shape (runs, L), in any integer type.
+    Unreduced, the value is at most q-1, (q-1)^2 + q-1, ..., one step per
+    coefficient; the lane is np.min_scalar_type of that bound, as
+    point_blocks picks coordinates, and the coefficients and t are cast to
+    it once (a cast inside every multiply is slower).  A bound of 2^64 or
+    more takes uint64, reduced where the next step could reach 2^64; right
+    after a reduction a step is below q^2 < 2^62.
     """
-    top, *rest = coeffs_from_top
-    acc = np.empty(np.broadcast_shapes(np.shape(top), t.shape), dtype=np.int64)
+    bound = q - 1
+    for _ in coeffs_from_top[1:]:
+        bound = bound * (q - 1) + q - 1
+    lane = np.min_scalar_type(bound) if bound < 2 ** 64 else np.dtype(np.uint64)
+    top, *rest = (c.astype(lane, copy=False) for c in coeffs_from_top)
+    t = t.astype(lane, copy=False)
+    acc = np.empty(np.broadcast_shapes(top.shape, t.shape), dtype=lane)
     acc[...] = top
     bound = q - 1
     for c in rest:
-        if bound * (q - 1) + q - 1 >= 2 ** 63:
+        if bound * (q - 1) + q - 1 >= 2 ** 64:
             _reduce(acc, q)
             bound = q - 1
         acc *= t
@@ -347,19 +357,22 @@ def _horner(coeffs_from_top, t: np.ndarray, q: int) -> np.ndarray:
 
 
 def _multiple_of(n: np.ndarray, q: int) -> np.ndarray:
-    """n % q == 0 for int64 n in [0, 2^63) and odd q, by one multiply; n is
-    overwritten.
+    """n % q == 0 for odd q and unsigned n, or int64 n in [0, 2^63), by
+    one multiply; n is overwritten.
 
-    Granlund-Montgomery (PLDI 1994; Lemire, Kaser and Kurz 2019): q is a
-    unit mod 2^64, so n -> n q^-1 mod 2^64 permutes [0, 2^64) and carries
-    the multiples k q, 0 <= k <= floor((2^64 - 1) / q), to k; so q divides
-    n exactly where n q^-1 mod 2^64 <= floor((2^64 - 1) / q).  That is one
-    wrapping uint64 multiply and one compare, in place of x - (x // q) q
+    Granlund-Montgomery (PLDI 1994; Lemire, Kaser and Kurz 2019): with bits
+    the width of n, q is a unit mod 2^bits, so n -> n q^-1 mod 2^bits
+    permutes [0, 2^bits) and carries the multiples k q,
+    0 <= k <= floor((2^bits - 1) / q), to k; so q divides n exactly where
+    n q^-1 mod 2^bits <= floor((2^bits - 1) / q).  That is one wrapping
+    multiply in the lane of n and one compare, in place of x - (x // q) q
     and a compare with 0.
     """
-    wrapped = n.view(np.uint64)
-    wrapped *= np.uint64(pow(q, -1, 2 ** 64))  # ValueError for even q
-    return wrapped <= np.uint64((2 ** 64 - 1) // q)
+    lane = np.dtype(f"u{n.itemsize}")
+    bits = 8 * n.itemsize
+    wrapped = n.view(lane)
+    wrapped *= lane.type(pow(q, -1, 2 ** bits))  # ValueError for even q
+    return wrapped <= lane.type((2 ** bits - 1) // q)
 
 
 def _leading_pfaffian_vanishes(d: int, q: int, pts: np.ndarray) -> np.ndarray:
@@ -373,11 +386,11 @@ def _leading_pfaffian_vanishes(d: int, q: int, pts: np.ndarray) -> np.ndarray:
     any order get exact values.
 
     The rows may hold any integer type (point_blocks gives the narrowest
-    unsigned one): the coefficients and Horner's accumulator are int64, so
-    every product widens the last coordinate.  The accumulator is never
-    reduced mod q: _multiple_of tests it directly, which needs q odd.
-    Every census prime is: check_scan_prime takes only q = 1 mod 9 or
-    mod 11, and q = 2 is neither.
+    unsigned one).  The coefficients are evaluated in int64, and _horner
+    runs in its own unsigned lane; its accumulator is never reduced mod q:
+    _multiple_of tests it, which needs q odd.  Every census prime is:
+    check_scan_prime takes only q = 1 mod 9 or mod 11, and q = 2 is
+    neither.
     """
     n, m = pts.shape
     length = 1
@@ -448,6 +461,8 @@ def _batch_ranks(d: int, q: int, pts: np.ndarray) -> np.ndarray:
         pf += val[:, f] * val[:, g]
         vanish = _reduce(pf, q) == 0
         val, low = val[vanish], low[vanish]
+        if not low.size:
+            break
     ranks[low] = 2
     # the zero row is no projective point; every entry vanishes there
     ranks[low[~pts[low].any(axis=1)]] = 0
@@ -515,10 +530,11 @@ def _least_table(h: int, q: int) -> np.ndarray | None:
 
 
 def _first_nonzero(cols: np.ndarray) -> np.ndarray:
-    """The first nonzero entry of each row, or 0 in a zero row."""
-    first = np.zeros(cols.shape[0], dtype=np.int64)
+    """The first nonzero entry of each row, or 0 in a zero row (every row
+    when cols has no columns), in the type of cols."""
+    first = np.zeros(cols.shape[0], dtype=cols.dtype)
     for c in range(cols.shape[1] - 1, -1, -1):
-        first = np.where(cols[:, c] != 0, cols[:, c], first)
+        np.copyto(first, cols[:, c], where=cols[:, c] != 0)
     return first
 
 

@@ -12,6 +12,7 @@ import heisencheck.ffscan as ffscan
 from heisencheck.ffscan import (
     _batch_ranks,
     _entry_gather,
+    _first_nonzero,
     _horner,
     _leading_pfaffian_vanishes,
     _multiple_of,
@@ -469,62 +470,111 @@ def test_batch_ranks_agree_with_elimination():
 
 
 # at 60013 and 2360003, q^4 and q^3 land between 2^63 and 2^64, where an
-# unreduced step would wrap around without changing sign
+# unreduced step would wrap around a signed lane without changing sign
 @pytest.mark.parametrize("q", [67, 60013, 2360003, 1358186941, 1358187913,
                                LARGEST_CLOSED_FORM_Q, LARGEST_SCAN_Q])
-def test_horner_steps_stay_inside_int64(q):
+def test_horner_steps_stay_inside_int64(q, monkeypatch):
     # acc = t = c = q - 1 is the widest a step can be; from a reduced
     # accumulator it is (q-1)^2 + (q-1) < q^2 < 2^62.  The accumulator comes
-    # back unreduced: in [0, 2^63) and congruent to the value mod q
+    # back unreduced, in the narrowest unsigned lane that holds the step
+    # bound with no reduction (uint64, reduced as needed, when that bound
+    # is 2^64 or more), and congruent to the value mod q
     assert (q - 1) ** 2 + (q - 1) < q ** 2 < 2 ** 62
+    reductions = []
+    reduce = ffscan._reduce
+
+    def spy(x, q):
+        reductions.append(x.dtype)
+        return reduce(x, q)
+
+    monkeypatch.setattr(ffscan, "_reduce", spy)
+
+    def lane(degree):
+        bound = q - 1
+        for _ in range(degree):
+            bound = bound * (q - 1) + q - 1
+        return bound, np.min_scalar_type(bound) if bound < 2 ** 64 else np.dtype(np.uint64)
+
     # one coefficient per point, then one (runs, 1) column per run against
-    # (runs, L) last coordinates
+    # (runs, L) last coordinates; t as int64 and in the block type
     for c_shape, t_shape in (((3,), (3,)), ((4, 1), (4, 1)), ((3, 1), (3, 5)), ((2, 1), (2, 67))):
-        wide = np.full(t_shape, q - 1, dtype=np.int64)
-        column = np.full(c_shape, q - 1, dtype=np.int64)
-        for degree in range(7):
-            expected = sum((q - 1) ** (j + 1) for j in range(degree + 1)) % q
-            values = _horner([column] * (degree + 1), wide, q)
-            assert values.shape == t_shape and values.dtype == np.int64
-            assert (values >= 0).all()
-            assert (values % q == expected).all()
-        assert (wide == q - 1).all() and (column == q - 1).all()
+        for t_type in (np.int64, np.min_scalar_type(q - 1)):
+            wide = np.full(t_shape, q - 1, dtype=t_type)
+            column = np.full(c_shape, q - 1, dtype=np.int64)
+            for degree in range(7):
+                expected = sum((q - 1) ** (j + 1) for j in range(degree + 1)) % q
+                bound, dtype = lane(degree)
+                reductions.clear()
+                values = _horner([column] * (degree + 1), wide, q)
+                assert values.shape == t_shape and values.dtype == dtype
+                assert dtype.kind == "u"
+                assert all(0 <= int(v) < 2 ** (8 * dtype.itemsize) for v in values.flat)
+                assert all(int(v) % q == expected for v in values.flat)
+                # reductions run exactly where the bound leaves uint64
+                assert bool(reductions) == (bound >= 2 ** 64)
+                assert set(reductions) <= {np.dtype(np.uint64)}
+            assert (wide == q - 1).all() and (column == q - 1).all()
+    if q in (60013, 2360003):
+        assert lane(6)[1] == np.uint64 and lane(6)[0] >= 2 ** 64
     rng = np.random.default_rng(q)
     t = rng.integers(0, q, (3, 5))
     coeffs = [rng.integers(0, q, (3, 1)) for _ in range(5)]
     values = _horner(coeffs, t, q)
-    assert (values >= 0).all()
+    assert values.dtype == lane(4)[1]
     for (i, j), x in np.ndenumerate(t):
-        assert values[i, j] % q == sum(int(c[i, 0]) * int(x) ** (4 - k)
-                                       for k, c in enumerate(coeffs)) % q
+        assert int(values[i, j]) % q == sum(int(c[i, 0]) * int(x) ** (4 - k)
+                                            for k, c in enumerate(coeffs)) % q
 
 
-def _multiple_of_cases(q):
-    """int64 values in [0, 2^63): the edges around q, then random ones."""
-    top = (2 ** 63 - 1) // q * q  # the largest multiple of q below 2^63
-    edges = [0, 1, q - 1, q, q + 1, 2 * q, top - q, top - 1, top, top + 1, 2 ** 63 - 1]
-    return st.one_of(st.sampled_from(edges), st.integers(0, 2 ** 63 - 1),
-                     st.integers(0, (2 ** 63 - 1) // q).map(lambda k: k * q))
+def _multiple_of_cases(q, top):
+    """Values in [0, top): the edges around q, then random ones."""
+    last = (top - 1) // q * q  # the largest multiple of q below top
+    edges = [0, 1, q - 1, q, q + 1, 2 * q, last - q, last - 1, last, last + 1, top - 1]
+    return st.one_of(st.sampled_from([v for v in edges if 0 <= v < top]),
+                     st.integers(0, top - 1),
+                     st.integers(0, (top - 1) // q).map(lambda k: k * q))
 
 
-# the census primes, the least prime above 2^16 and the largest census q
+# the census primes, the least prime above 2^16 and the largest census q;
+# int64 in [0, 2^63), and every unsigned lane _horner returns from uint16 up
 @pytest.mark.parametrize("q", [19, 23, 67, 109, 65539, LARGEST_SCAN_Q])
 def test_multiple_of_decides_divisibility(q):
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(_multiple_of_cases(q), min_size=1, max_size=20))
-    def run(values):
-        x = np.array(values, dtype=np.int64)
-        # the reduce-and-compare the kernel used before is the oracle
-        expected = _reduce(x.copy(), q) == 0
-        assert (expected == (x % q == 0)).all()
-        assert (_multiple_of(x.copy(), q) == expected).all()
+    for lane, top in ((np.int64, 2 ** 63), (np.uint16, 2 ** 16),
+                      (np.uint32, 2 ** 32), (np.uint64, 2 ** 64)):
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(st.lists(_multiple_of_cases(q, top), min_size=1, max_size=20))
+        def run(values):
+            x = np.array(values, dtype=lane)
+            # the reduce-and-compare the kernel used before is the oracle,
+            # on a uint64 copy since q need not fit the lane
+            expected = _reduce(x.astype(np.uint64), q) == 0
+            assert (expected == np.array([v % q == 0 for v in values])).all()
+            assert (_multiple_of(x.copy(), q) == expected).all()
 
-    run()
+        run()
 
 
 def test_multiple_of_refuses_an_even_modulus():
     with pytest.raises(ValueError):
         _multiple_of(np.arange(4, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_first_nonzero_matches_a_row_loop(dtype):
+    rng = np.random.default_rng(5)
+    for width in range(4):
+        # mostly zeros, so rows whose first nonzero sits in every column occur
+        cols = rng.integers(0, 200, (300, width)).astype(dtype)
+        cols[rng.random(cols.shape) < 0.6] = 0
+        first = _first_nonzero(cols)
+        assert first.dtype == dtype and first.shape == (300,)
+        expected = [next((int(c) for c in row if c), 0) for row in cols]
+        assert first.tolist() == expected
+    # a block whose lead sits just before the last coordinate has no free
+    # coordinates between them, as _orbit_representatives reads it
+    block = next(b for b in point_blocks(4, 23) if b[0, 2] == 1 and not b[0, :2].any())
+    first = _first_nonzero(block[::23, 3:-1])
+    assert first.shape == (len(block) // 23,) and not first.any()
 
 
 def test_batch_ranks_of_no_points():
