@@ -2,6 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .exactnum import CycloNum, Rational  # noqa: F401
+from .exactnum import CycloNum  # noqa: F401
 from .mpoly import SparsePoly  # noqa: F401
 from .pfaffian import SkewMatrix  # noqa: F401

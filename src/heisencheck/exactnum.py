@@ -21,10 +21,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-# Rationals are stdlib Fractions: already normalized (gcd 1, positive
-# denominator), hashable and exact.
-Rational = Fraction
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from . import golden
 from .heisenberg import s_matrix
-from .mpoly import SparsePoly, divide_exact
+from .mpoly import SparsePoly
 from .pfaffian import SkewMatrix
 
 # Pf(S) equals the golden sextic up to this recorded global sign
@@ -64,15 +64,10 @@ def v14_relation_residues() -> list[SparsePoly]:
 
 
 def v14_relations_hold() -> str:
-    """'identity' when the five forms vanish identically, 'mod-f6' when each
-    residue is an exact multiple of the sextic, else raises."""
-    residues = v14_relation_residues()
-    if all(r.is_zero() for r in residues):
+    """'identity' when the five forms vanish identically, else raises."""
+    if all(r.is_zero() for r in v14_relation_residues()):
         return "identity"
-    f6 = golden_sextic()
-    if all(divide_exact(r, f6) is not None for r in residues):
-        return "mod-f6"
-    raise AssertionError("five-term linear relations fail both identically and mod the sextic")
+    raise AssertionError("five-term linear relations are not polynomial identities")
 
 
 @lru_cache(maxsize=None)

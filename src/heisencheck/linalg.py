@@ -1,12 +1,12 @@
-"""Exact ranks, one kernel for each field and shape.
+"""Exact ranks, one kernel for each field.
 
 - RowBasis and rank_fraction, over Q and Q(xi_n): sparse rows reduced
   against a growing basis, in the arithmetic of their coefficients.
-- rank_mod, over F_p: one (sparse, int64) matrix, such as the remainder of
-  a Macaulay matrix after its singleton peel over Z (_peel_singletons,
-  which removes all rows with a singleton column at once, in rounds).
-- rank_gauss_mod, over F_p: a stack of small dense int64 matrices, all
-  eliminated at once.
+- rank_gauss_mod, over F_p: a stack of int64 matrices eliminated at once,
+  fraction-free; rank_mod is the same kernel on a stack of one, such as
+  the remainder of a Macaulay matrix after its singleton peel over Z
+  (_peel_singletons, which removes all rows with a singleton column at
+  once, in rounds).
 """
 
 from __future__ import annotations
@@ -89,59 +89,41 @@ def _peel_singletons(nz_rows: np.ndarray, nz_cols: np.ndarray, shape: tuple[int,
 
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:
-    """Rank over F_p; a p that fails exactnum.check_modulus (a prime below
-    2^31) raises ValueError.
-
-    Entries are reduced into [0, p), so every product of two of them stays
-    below p^2 < 2^62 and no intermediate overflows int64.  Each pivot
-    updates only the rows below it with a nonzero in the pivot column, a
-    small share on sparse matrices.
-    """
-    check_modulus(p)
-    A = np.asarray(matrix, dtype=np.int64) % p
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        # the swap moved a row with a zero in column c to the pivot's old
-        # place, so the rows to clear are exactly the other nonzeros found
-        below = r + nz[1:]
-        if below.size:
-            A[below, c:] = (A[below, c:] - A[below, c:c + 1] * A[r, c:]) % p
-        r += 1
-    return r
+    """Rank over F_p of one matrix: rank_gauss_mod on a stack of one."""
+    return int(rank_gauss_mod(np.asarray(matrix, dtype=np.int64)[None], p)[0])
 
 
 def rank_gauss_mod(stack: np.ndarray, p: int) -> np.ndarray:
-    """Rank over F_p of each (small, dense) matrix in an (n, rows, cols) stack.
+    """Rank over F_p of each matrix in an (n, rows, cols) stack; a p that
+    fails exactnum.check_modulus (a prime below 2^31) raises ValueError.
 
-    All are eliminated at once, a column c at a time: each matrix pivots on
-    its first row r not yet pivoted on with a_rc != 0, and every row i
-    becomes a_rc row_i - a_ic row_r.  As in rank_mod, a p that fails
-    exactnum.check_modulus raises ValueError, and entries stay in [0, p),
-    so no product leaves int64.
+    All are eliminated at once, fraction-free in the style of Bareiss
+    (Math. Comp. 22, 1968), a column c at a time: each matrix pivots on its
+    first free row r (not yet pivoted on) with a_rc != 0, and only its
+    other free rows with a nonzero in column c are updated, from column c
+    on, by row_i <- a_rc row_i - a_ic row_r.  Pivot rows stay as they are, so
+    each matrix ends in row-echelon form.  Entries stay in [0, p), so each
+    product is below p^2 < 2^62 and no difference leaves int64.
     """
     check_modulus(p)
     A = np.asarray(stack, dtype=np.int64) % p
     n, rows, cols = A.shape
-    free = np.ones((n, rows), dtype=bool)
+    pivoted = np.zeros((n, rows), dtype=bool)
+    pivot_of = np.zeros(n, dtype=np.intp)
     for c in range(cols):
-        candidates = (A[:, :, c] != 0) & free
+        if pivoted.all():
+            break
+        candidates = (A[:, :, c] != 0) & ~pivoted
         pivoting = np.flatnonzero(candidates.any(axis=1))
         if not pivoting.size:
             continue
         pivot = candidates[pivoting].argmax(axis=1)
-        sub = A[pivoting]
-        row = sub[np.arange(pivoting.size), pivot][:, None, :]
-        A[pivoting] = (sub * row[:, :, c:c + 1] - sub[:, :, c:c + 1] * row) % p
-        free[pivoting, pivot] = False
-    return rows - free.sum(axis=1)
+        pivoted[pivoting, pivot] = True
+        candidates[pivoting, pivot] = False
+        mats, below = np.nonzero(candidates)
+        if mats.size:
+            pivot_of[pivoting] = pivot
+            row = A[mats, pivot_of[mats], c:]
+            target = A[mats, below, c:]
+            A[mats, below, c:] = (target * row[:, :1] - target[:, :1] * row) % p
+    return pivoted.sum(axis=1)

@@ -300,12 +300,6 @@ def divmod_single(f: SparsePoly, d: SparsePoly) -> tuple[SparsePoly, SparsePoly]
     return quotient, SparsePoly(f.nvars, remainder_terms)
 
 
-def divide_exact(f: SparsePoly, d: SparsePoly) -> SparsePoly | None:
-    """Exact quotient f/d, or None when f is not a multiple of d."""
-    q, r = divmod_single(f, d)
-    return q if r.is_zero() else None
-
-
 def graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent vectors of the given total degree, grevlex descending.
 

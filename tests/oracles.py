@@ -69,7 +69,7 @@ def gauss_jordan_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-# -- the slow paths behind linalg.rank_mod and hilbert._macaulay_matrices ------
+# -- the slow paths behind linalg.rank_gauss_mod and hilbert._macaulay_matrices
 
 
 def dense_rank_mod(matrix: np.ndarray, p: int) -> int:

@@ -104,6 +104,12 @@ def test_rank_mod_at_the_largest_prime():
     assert rank_gauss_mod(stack, p).tolist() == [1, 5]
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+def test_rank_mod_of_an_empty_matrix_is_zero(shape):
+    # graded_hilbert ranks a (0, 0) remainder whenever the peel takes every row
+    assert rank_mod(np.empty(shape, dtype=np.int64), 1073741789) == 0
+
+
 @pytest.mark.parametrize("p", [1, 0, -7, 6, 9, 2 ** 31, 2 ** 31 + 11])
 def test_rank_mod_rejects_moduli_outside_the_int64_bound(p):
     with pytest.raises(ValueError, match="2\\^31"):
@@ -141,6 +147,8 @@ def _stacks(draw):
 @given(_stacks())
 @example((np.empty((0, 6, 6), dtype=np.int64), np.empty(0, dtype=np.int64), 2))
 @example((np.zeros((3, 4, 5), dtype=np.int64), np.zeros(3, dtype=np.int64), 2 ** 31 - 1))
+@example((np.empty((2, 0, 5), dtype=np.int64), np.zeros(2, dtype=np.int64), 3))
+@example((np.empty((2, 4, 0), dtype=np.int64), np.zeros(2, dtype=np.int64), 5))
 def test_rank_gauss_mod_matches_the_list_eliminator(case):
     stack, free, p = case
     before = stack.copy()
