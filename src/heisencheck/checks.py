@@ -73,10 +73,10 @@ from .heisenberg import (
 )
 from .hilbert import (
     RANK_PRIMES,
-    SimplicialComplex,
     abelian_surface_profile,
     face_vector,
     graded_hilbert,
+    squarefree_faces,
     stanley_reisner_hilbert,
 )
 from .linalg import rank_gauss_mod
@@ -96,7 +96,6 @@ from .surface9 import (
     j_family,
     moore_z0,
     quadric_decomposition,
-    restrict_point_d9,
     special_points_d9,
     theta9_closed_form,
 )
@@ -375,8 +374,8 @@ def check_d9_theta_closedform(ctx: RunContext):
 
 
 def check_d9_theta_z0(ctx: RunContext):
-    chart_point = restrict_point_d9([Fraction(c) for c in Z0_FULL])
-    image = theta9_closed_form().evaluate(chart_point)
+    chart_point = pminus_chart(9).restrict_point([Fraction(c) for c in Z0_FULL])
+    image = [v.evaluate(chart_point) for v in theta9_closed_form()]
     nonzero = [i for i, v in enumerate(image) if v]
     ok = nonzero == [1]
     return (PASS if ok else FAIL), {
@@ -405,8 +404,8 @@ def check_d9_basepoint(ctx: RunContext):
 def check_d9_theta_fourpoints(ctx: RunContext):
     results = {}
     for idx, P in enumerate(special_points_d9(), start=1):
-        chart_point = restrict_point_d9(P)
-        values = theta9_closed_form().evaluate(chart_point)
+        chart_point = pminus_chart(9).restrict_point(P)
+        values = [v.evaluate(chart_point) for v in theta9_closed_form()]
         results[f"P{idx}"] = all(not v for v in values)
     ok = all(results.values())
     return (PASS if ok else FAIL), {"all_coordinates_vanish": results}
@@ -475,11 +474,11 @@ def check_hilbert_monomial(ctx: RunContext):
 
 
 def check_hilbert_faces(ctx: RunContext):
-    fv1 = face_vector(j1_generators())
+    fv1 = face_vector(squarefree_faces(j1_generators(), 9))
     euler = fv1[0] - fv1[1] + fv1[2] if len(fv1) == 3 else None
-    cx2 = SimplicialComplex.from_squarefree_ideal(j2_monomials(), 9)
-    fv2 = cx2.face_vector()
-    tets = [tuple(sorted(f)) for f in cx2.faces_of_dimension(3)]
+    faces2 = squarefree_faces(j2_monomials(), 9)
+    fv2 = face_vector(faces2)
+    tets = sorted(tuple(sorted(f)) for f in faces2 if len(f) == 4)
     sr_ok = all(
         stanley_reisner_hilbert(fv1, t) == v
         for t, v in enumerate(graded_hilbert(j1_generators(), 9, T_MAX))
@@ -512,7 +511,8 @@ def check_hilbert_flatness(ctx: RunContext):
 
 def check_hilbert_cubicgap(ctx: RunContext):
     # a kernel-map image away from the degeneration locus
-    v = theta9_closed_form().evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
+    v = [f.evaluate([Fraction(1), Fraction(2), Fraction(3), Fraction(5)])
+         for f in theta9_closed_form()]
     generic = graded_hilbert(v_dot_R(v, 9), 9, 3)
     monomial_fiber = graded_hilbert(v_dot_R([0, 1, 0, 0, 0], 9), 9, 3)
     deficit = generic[3] - 81

@@ -88,9 +88,10 @@ def is_prime(n: int) -> bool:
 def check_modulus(q: int) -> None:
     """Reject a q that is not a prime below 2^31, the rule of every F_q kernel.
 
-    Inversion by Fermat's rule needs q prime, and with residues in [0, q)
-    every product of two of them is below q^2 < 2^62, so a kernel that
-    reduces before a multiply or add could reach 2^63 never leaves int64.
+    Inversion mod q needs q prime, so that every nonzero residue is a
+    unit, and with residues in [0, q) every product of two of them is
+    below q^2 < 2^62, so a kernel that reduces before a multiply or add
+    could reach 2^63 never leaves int64.
     The bound is tested first, so is_prime only sees q below 2^31.
     """
     if q >= 2 ** 31:
@@ -445,16 +446,12 @@ def nth_root_in_prime_field(n: int, q: int) -> int:
     raise ValueError(f"no element of order {n} in F_{q}")  # unreachable for prime q
 
 
-def modular_inverse(a: int, q: int) -> int:
-    return pow(a % q, q - 2, q)
-
-
 def fraction_mod(x: Fraction, q: int) -> int:
     """Reduction of a rational with denominator prime to q into F_q."""
     num, den = x.numerator, x.denominator
     if den % q == 0:
         raise ZeroDivisionError(f"denominator of {x} vanishes mod {q}")
-    return (num % q) * modular_inverse(den, q) % q
+    return num * pow(den, -1, q) % q
 
 
 def cyclo_mod(x: CycloNum, root: int, q: int) -> int:
@@ -465,4 +462,4 @@ def cyclo_mod(x: CycloNum, root: int, q: int) -> int:
     acc = 0
     for c in reversed(x._num):
         acc = (acc * root + c) % q
-    return acc * modular_inverse(x._den, q) % q
+    return acc * pow(x._den, -1, q) % q

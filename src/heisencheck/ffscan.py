@@ -97,11 +97,11 @@ from itertools import combinations
 import numpy as np
 
 from .exactnum import CycloNum, check_modulus, cyclo_mod, fraction_mod, nth_root_in_prime_field
-from .heisenberg import s_matrix
+from .heisenberg import pminus_chart, s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
 from .pfaffian import SkewMatrix
-from .surface9 import restrict_point_d9, special_points_d9
+from .surface9 import special_points_d9
 from . import golden
 
 CROSS_CHECK_SAMPLES = 512
@@ -695,9 +695,9 @@ def special_points_d9_mod(q: int) -> set[tuple[int, ...]]:
     root = nth_root_in_prime_field(9, q)
     out = set()
     for P in special_points_d9():
-        coords = [cyclo_mod(c, root, q) for c in restrict_point_d9(P)]
+        coords = [cyclo_mod(c, root, q) for c in pminus_chart(9).restrict_point(P)]
         lead = next(c for c in coords if c)
-        inv = pow(lead, q - 2, q)
+        inv = pow(lead, -1, q)
         out.add(tuple(c * inv % q for c in coords))
     return out
 

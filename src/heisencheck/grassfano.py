@@ -1,5 +1,6 @@
 """The d = 11 pipeline: Plucker geometry of the kernel map, the linear
-section of Gr(2,6), the Klein cubic, and its Jacobian system.
+section of Gr(2,6), the Klein cubic, its Jacobian quadrics (the partials
+of the cubic), and its Jacobian system.
 
 Plucker coordinates p_ij carry 1-based labels i < j in 1..2m, matching
 the row labels of the 6x6 quadric matrix (row i of the matrix is label i).
@@ -103,6 +104,7 @@ def klein_from_hyperplanes() -> tuple[SkewMatrix, SparsePoly]:
     return M, B
 
 
+@lru_cache(maxsize=None)
 def klein_cubic() -> SparsePoly:
     """sum over Z_5 of x_i^2 x_(i+1)."""
     acc = SparsePoly.zero(5)
@@ -112,12 +114,9 @@ def klein_cubic() -> SparsePoly:
 
 
 def jacobian_quadrics() -> list[SparsePoly]:
-    """x_i^2 + 2 x_(i+1) x_(i+2) for i in Z_5."""
-    out = []
-    for i in range(5):
-        f = SparsePoly.monomial(5, [i, i]) + SparsePoly.monomial(5, [(i + 1) % 5, (i + 2) % 5], 2)
-        out.append(f)
-    return out
+    """The partials of the Klein cubic: entry i is dK/dx_(i+1), which is
+    x_i^2 + 2 x_(i+1) x_(i+2)."""
+    return [klein_cubic().derivative((i + 1) % 5) for i in range(5)]
 
 
 def jacobian_system() -> list[tuple[int, Fraction, SparsePoly]]:

@@ -2,8 +2,10 @@
 
 The group acts on the coordinate ring of P^(d-1) through the index shift
 sigma(x_i) = x_(i-1) and the scaling tau(x_i) = xi^(-i) x_i.  From the
-action we build the matrix R of quadric representations, its restriction
-to the odd eigenspace chart, and the 9x9 Moore matrix.
+action we build the matrix R of quadric representations, the quadric
+matrix S (its block restricted through the calibrated odd eigenspace
+chart, which also drops points to chart coordinates), and the 9x9 Moore
+matrix.
 """
 
 from __future__ import annotations
@@ -160,19 +162,14 @@ def pminus_chart(d: int) -> PminusChart:
     raise AssertionError(f"no sign rule makes the restricted block antisymmetric for d={d}")
 
 
-def restrict_to_pminus(d: int) -> SkewMatrix:
-    """The (d+1)/2-square block of R restricted to the odd chart."""
+@lru_cache(maxsize=None)
+def s_matrix(d: int) -> SkewMatrix:
+    """The (d+1)/2-square block of R restricted to the odd chart, checked
+    against the golden display."""
     chart = pminus_chart(d)
     R = build_R(d)
     h = (d + 1) // 2
-    rows = [[chart.restrict(R[i][j]) for j in range(h)] for i in range(h)]
-    return SkewMatrix.from_rows(rows)
-
-
-@lru_cache(maxsize=None)
-def s_matrix(d: int) -> SkewMatrix:
-    """The restricted quadric matrix, checked against the golden display."""
-    s = restrict_to_pminus(d)
+    s = SkewMatrix.from_rows([[chart.restrict(R[i][j]) for j in range(h)] for i in range(h)])
     name = {11: "s_matrix_d11.txt", 9: "s_matrix_d9.txt"}.get(d)
     if name is not None:
         variables = [f"x{k}" for k in range(1, (d - 1) // 2 + 1)]

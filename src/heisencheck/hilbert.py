@@ -23,6 +23,9 @@ Only the remainder is made dense; the larger of its ranks mod the two
 rationals decide otherwise, so every value is exact over Q.  Every
 J(lambda:mu) matrix checked (to t = 8 in the tests) peels to nothing, so
 no modular elimination runs on them.
+
+A squarefree monomial ideal's simplicial complex is the set of its faces
+(squarefree_faces), counted by dimension in face_vector.
 """
 
 from __future__ import annotations
@@ -99,44 +102,32 @@ def _standard_monomials(nvars: int, t_max: int, monomials) -> list[np.ndarray]:
     return std
 
 
-class SimplicialComplex:
-    """The complex of squarefree monomials outside a squarefree ideal."""
-
-    def __init__(self, faces: set[frozenset]) -> None:
-        self.faces = faces
-
-    @classmethod
-    def from_squarefree_ideal(cls, generators, nvars: int) -> "SimplicialComplex":
-        supports = []
-        for g in generators:
-            exps = monomial_exponents(g)
-            if exps is None or any(e > 1 for e in exps):
-                raise ValueError(f"generator {g} is not squarefree")
-            supports.append(frozenset(i for i, e in enumerate(exps) if e))
-        faces = set()
-        vertices = range(nvars)
-        for size in range(nvars + 1):
-            for combo in combinations(vertices, size):
-                face = frozenset(combo)
-                if not any(s <= face for s in supports):
-                    faces.add(face)
-        return cls(faces)
-
-    def face_vector(self) -> tuple[int, ...]:
-        """(f_0, f_1, ...): counts by dimension, empty face omitted."""
-        top = max((len(f) for f in self.faces), default=0)
-        counts = [0] * top
-        for f in self.faces:
-            if f:
-                counts[len(f) - 1] += 1
-        return tuple(counts)
-
-    def faces_of_dimension(self, dim: int) -> list[frozenset]:
-        return sorted((f for f in self.faces if len(f) == dim + 1), key=sorted)
+def squarefree_faces(generators, nvars: int) -> set[frozenset]:
+    """The faces of the simplicial complex of a squarefree monomial ideal:
+    the vertex sets in range(nvars) whose squarefree monomial lies outside it."""
+    supports = []
+    for g in generators:
+        exps = monomial_exponents(g)
+        if exps is None or any(e > 1 for e in exps):
+            raise ValueError(f"generator {g} is not squarefree")
+        supports.append(frozenset(i for i, e in enumerate(exps) if e))
+    faces = set()
+    for size in range(nvars + 1):
+        for combo in combinations(range(nvars), size):
+            face = frozenset(combo)
+            if not any(s <= face for s in supports):
+                faces.add(face)
+    return faces
 
 
-def face_vector(generators, nvars: int = 9) -> tuple[int, ...]:
-    return SimplicialComplex.from_squarefree_ideal(generators, nvars).face_vector()
+def face_vector(faces: set[frozenset]) -> tuple[int, ...]:
+    """(f_0, f_1, ...): counts by dimension, empty face omitted."""
+    top = max((len(f) for f in faces), default=0)
+    counts = [0] * top
+    for f in faces:
+        if f:
+            counts[len(f) - 1] += 1
+    return tuple(counts)
 
 
 def stanley_reisner_hilbert(fvec: tuple[int, ...], t: int) -> int:

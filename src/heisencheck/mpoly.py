@@ -4,7 +4,8 @@ Terms map dense exponent tuples to nonzero coefficients.  The monomial
 order is graded reverse lexicographic throughout, which fixes leading
 terms, division, and the canonical text rendering.  Substitution sends
 each variable to one term or zero, so it maps term to term and never
-expands a product of sums.
+expands a product of sums; so does a partial derivative.  A polynomial is
+immutable, so a cached one may be shared.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class SparsePoly:
         if not self.terms:
             return self
         _, lc = self.leading_term()
-        return self.scale(Fraction(1) / lc if isinstance(lc, Fraction) else lc.inverse())
+        return self.scale(1 / lc)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -177,6 +178,18 @@ class SparsePoly:
         if not c:
             return SparsePoly.zero(self.nvars)
         return SparsePoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+
+    def derivative(self, k: int) -> "SparsePoly":
+        """The partial derivative d/dx_k."""
+        if not 0 <= k < self.nvars:
+            raise ValueError(f"no variable x_{k} among {self.nvars}")
+        out = {}
+        for exps, c in self.terms.items():
+            if exps[k]:
+                lowered = list(exps)
+                lowered[k] -= 1
+                out[tuple(lowered)] = c * exps[k]
+        return SparsePoly(self.nvars, out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, CycloNum)):

@@ -62,9 +62,6 @@ class SkewMatrix:
         v = self.upper.get((j, i), 0)
         return -v if v else 0
 
-    def __getitem__(self, idx):
-        return self.entry(*idx)
-
     def rows(self) -> list[list]:
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 

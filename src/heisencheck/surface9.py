@@ -1,5 +1,10 @@
 """The d = 9 pipeline: the closed-form kernel map, its base point, the
-degenerate fiber ideal at z0, and the flat family of torus ideals."""
+degenerate fiber ideal at z0, and the flat family of torus ideals.
+
+The kernel map is the tuple of its five quartics in x1..x4, evaluated one
+coordinate at a time; a point with nine coordinates reaches x1..x4 through
+the calibrated odd chart, heisenberg.pminus_chart(9).restrict_point.
+"""
 
 from __future__ import annotations
 
@@ -23,25 +28,10 @@ X9_VARIABLES = [f"x{i}" for i in range(9)]
 P3_VARIABLES = [f"x{i}" for i in range(1, 5)]
 
 
-@dataclass(frozen=True)
-class Theta9Map:
-    """The five quartics v0..v4 in x1..x4, in the golden normalization."""
-
-    coords: tuple[SparsePoly, ...]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i: int) -> SparsePoly:
-        return self.coords[i]
-
-    def evaluate(self, point) -> list:
-        return [v.evaluate(point) for v in self.coords]
-
-
 @lru_cache(maxsize=None)
-def theta9_closed_form() -> Theta9Map:
-    """Kernel vector of the 5x5 quadric matrix, calibrated to the golden display."""
+def theta9_closed_form() -> tuple[SparsePoly, ...]:
+    """The five quartics v0..v4 in x1..x4: the kernel vector of the 5x5
+    quadric matrix, calibrated to the golden display."""
     kernel = s_matrix(9).kernel_vector()
     labeled = golden.load_labeled("theta9_map.txt")
     expected = [golden.parse_poly(labeled[f"v{i}"], P3_VARIABLES) for i in range(5)]
@@ -50,12 +40,7 @@ def theta9_closed_form() -> Theta9Map:
         raise AssertionError("kernel vector does not match the golden quartics at the recorded sign")
     if (calibrated[0] + calibrated[3]):
         raise AssertionError("v0 + v3 must vanish identically")
-    return Theta9Map(tuple(calibrated))
-
-
-def restrict_point_d9(coords):
-    """Full 9-coordinate point on the odd eigenspace -> chart coordinates."""
-    return pminus_chart(9).restrict_point(coords)
+    return tuple(calibrated)
 
 
 def special_points_d9():
@@ -136,9 +121,8 @@ PFAFFIAN_ROWS_B = (1, 2, 3, 4, 6, 8)
 
 @lru_cache(maxsize=None)
 def degenerate_fiber_ideal() -> DegenerateFiberIdeal:
-    theta = theta9_closed_form()
-    z0_chart = restrict_point_d9([Fraction(c) for c in Z0_FULL])
-    image = theta.evaluate(z0_chart)
+    z0_chart = pminus_chart(9).restrict_point([Fraction(c) for c in Z0_FULL])
+    image = [v.evaluate(z0_chart) for v in theta9_closed_form()]
     # (0 : 1 : 0 : 0 : 0) projectively
     scale = next(c for c in image if c)
     v = [c / scale for c in image]
@@ -169,8 +153,6 @@ def degenerate_fiber_ideal() -> DegenerateFiberIdeal:
 
 @dataclass(frozen=True)
 class JFamilyIdeal:
-    lam: Fraction
-    mu: Fraction
     monomials: tuple[SparsePoly, ...]   # the 12 monomial generators of J_2
     trinomials: tuple[SparsePoly, ...]  # 9 trinomials, degenerate to monomials at lam*mu = 0
 
@@ -219,8 +201,6 @@ def j_family(lam, mu) -> JFamilyIdeal:
     if lam == 0 and mu == 0:
         raise ValueError("(lambda : mu) must be a point of P^1")
     return JFamilyIdeal(
-        lam=lam,
-        mu=mu,
         monomials=tuple(j2_monomials()),
         trinomials=tuple(family_trinomial(i, lam, mu) for i in range(9)),
     )

@@ -139,6 +139,10 @@ def test_jacobian_ideal_degreewise_equals_partials():
     K = klein_cubic()
     partials = [partial(K, i) for i in range(5)]
     system = jacobian_quadrics()
+    # entry i is dK/dx_(i+1) = x_i^2 + 2 x_(i+1) x_(i+2), in that order
+    assert system == [partials[(i + 1) % 5] for i in range(5)]
+    assert system == [SparsePoly.monomial(5, [i, i])
+                      + SparsePoly.monomial(5, [(i + 1) % 5, (i + 2) % 5], 2) for i in range(5)]
     from heisencheck.mpoly import graded_monomials
 
     basis = {m: k for k, m in enumerate(graded_monomials(5, 2))}

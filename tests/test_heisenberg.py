@@ -9,7 +9,6 @@ from heisencheck.heisenberg import (
     build_R,
     build_moore,
     pminus_chart,
-    restrict_to_pminus,
     row_span_is_subrep,
     s_matrix,
     sigma,
@@ -205,8 +204,6 @@ def test_restricted_block_matches_displays():
     assert s11.entry(2, 4) == SparsePoly.monomial(5, [1, 4], -1)  # -x2*x5
     s9 = s_matrix(9)
     assert s9.entry(1, 3) == SparsePoly.monomial(4, [3, 1])    # x4*x2
-    # antisymmetry is structural in SkewMatrix; from_rows validated it
-    assert restrict_to_pminus(11).rows() == s11.rows()
 
 
 def test_chart_point_restriction():

@@ -126,6 +126,19 @@ def test_substitute_matches_the_expansion_oracle(case):
         assert f.substitute(mapping) == expected
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(polys(n, 0, 6), st.integers(0, n - 1))))
+def test_derivative_matches_the_partial_oracle(case):
+    f, k = case
+    assert f.derivative(k) == partial(f, k)
+    # a variable that f does not contain differentiates to zero
+    g = SparsePoly(f.nvars + 1, {e + (0,): c for e, c in f.terms.items()})
+    assert g.derivative(f.nvars) == SparsePoly.zero(f.nvars + 1)
+    for bad in (-1, f.nvars):
+        with pytest.raises(ValueError, match="no variable"):
+            f.derivative(bad)
+
+
 def test_substitute_one_term_images_cancel_and_collect():
     # x0 -> x0, x1 -> -x0, x2 -> 0: x0^2 + 2 x0 x1 + x1^2 + x2 collapses to 0
     f = parse_poly("x0^2 + 2*x0*x1 + x1^2 + x2", ["x0", "x1", "x2"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heisencheck import golden
-from heisencheck.heisenberg import s_matrix, v_dot_R
+from heisencheck.heisenberg import pminus_chart, s_matrix, v_dot_R
 from heisencheck.mpoly import SparsePoly, render_poly
 from heisencheck.surface9 import (
     BASE_POINT,
@@ -20,7 +20,6 @@ from heisencheck.surface9 import (
     moore_z0,
     quadric_decomposition,
     reduce_mod_monomials,
-    restrict_point_d9,
     sigma_orbit,
     special_points_d9,
     theta9_closed_form,
@@ -43,9 +42,9 @@ def test_kernel_annihilates_matrix():
 
 def test_image_of_z0():
     theta = theta9_closed_form()
-    chart = restrict_point_d9([Fraction(c) for c in Z0_FULL])
+    chart = pminus_chart(9).restrict_point([Fraction(c) for c in Z0_FULL])
     assert chart == (Fraction(0), Fraction(-1), Fraction(-1), Fraction(0))
-    image = theta.evaluate(chart)
+    image = [v.evaluate(chart) for v in theta]
     assert [bool(v) for v in image] == [False, True, False, False, False]
 
 
@@ -62,8 +61,8 @@ def test_base_point_vanishing():
 def test_theta_vanishes_at_special_points():
     theta = theta9_closed_form()
     for P in special_points_d9():
-        chart = restrict_point_d9(P)
-        assert all(not v for v in theta.evaluate(chart))
+        chart = pminus_chart(9).restrict_point(P)
+        assert all(not v.evaluate(chart) for v in theta)
 
 
 def test_moore_pfaffian_cubics_verbatim():
