@@ -62,8 +62,8 @@ from .grassfano import (
     v14_relations_hold,
 )
 from .heisenberg import (
+    PminusChart,
     build_R,
-    pminus_chart,
     row_span_is_subrep,
     s_matrix,
     sigma,
@@ -165,10 +165,9 @@ class RunContext:
 
 def check_d11_matrix_s(ctx: RunContext):
     s = s_matrix(11)  # construction already compares against the golden display
-    chart = pminus_chart(11)
     return PASS, {
         "entries": 15,
-        "chart_sign": chart.eps,
+        "chart_sign": PminusChart.eps,
         "sample": {"(1,2)": str(s.entry(1, 2)), "(2,4)": str(s.entry(2, 4))},
     }
 
@@ -333,10 +332,9 @@ def check_klein_jacobian(ctx: RunContext):
 
 def check_d9_matrix_s(ctx: RunContext):
     s = s_matrix(9)
-    chart = pminus_chart(9)
     return PASS, {
         "entries": 10,
-        "chart_sign": chart.eps,
+        "chart_sign": PminusChart.eps,
         "sample": {"(1,3)": str(s.entry(1, 3))},
     }
 
@@ -374,7 +372,7 @@ def check_d9_theta_closedform(ctx: RunContext):
 
 
 def check_d9_theta_z0(ctx: RunContext):
-    chart_point = pminus_chart(9).restrict_point([Fraction(c) for c in Z0_FULL])
+    chart_point = PminusChart(9).restrict_point([Fraction(c) for c in Z0_FULL])
     image = [v.evaluate(chart_point) for v in theta9_closed_form()]
     nonzero = [i for i, v in enumerate(image) if v]
     ok = nonzero == [1]
@@ -404,7 +402,7 @@ def check_d9_basepoint(ctx: RunContext):
 def check_d9_theta_fourpoints(ctx: RunContext):
     results = {}
     for idx, P in enumerate(special_points_d9(), start=1):
-        chart_point = pminus_chart(9).restrict_point(P)
+        chart_point = PminusChart(9).restrict_point(P)
         values = [v.evaluate(chart_point) for v in theta9_closed_form()]
         results[f"P{idx}"] = all(not v for v in values)
     ok = all(results.values())

@@ -149,7 +149,7 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"scan error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    csv_text = census_csv([census])
+    csv_text = census_csv(census)
     if args.csv:
         write_atomic(args.csv, csv_text)
         print(f"wrote {args.csv}")

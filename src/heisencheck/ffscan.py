@@ -97,7 +97,7 @@ from itertools import combinations
 import numpy as np
 
 from .exactnum import CycloNum, check_modulus, cyclo_mod, fraction_mod, nth_root_in_prime_field
-from .heisenberg import pminus_chart, s_matrix
+from .heisenberg import PminusChart, s_matrix
 from .linalg import rank_gauss_mod
 from .mpoly import SparsePoly
 from .pfaffian import SkewMatrix
@@ -695,7 +695,7 @@ def special_points_d9_mod(q: int) -> set[tuple[int, ...]]:
     root = nth_root_in_prime_field(9, q)
     out = set()
     for P in special_points_d9():
-        coords = [cyclo_mod(c, root, q) for c in pminus_chart(9).restrict_point(P)]
+        coords = [cyclo_mod(c, root, q) for c in PminusChart(9).restrict_point(P)]
         lead = next(c for c in coords if c)
         inv = pow(lead, -1, q)
         out.add(tuple(c * inv % q for c in coords))
@@ -725,11 +725,10 @@ def jacobian_zero_counts(q: int) -> dict:
 # -- reporting -------------------------------------------------------------------
 
 
-def census_csv(censuses: list[StratumCensus]) -> str:
+def census_csv(census: StratumCensus) -> str:
     buf = io.StringIO()
     buf.write("q,d,rank,count\n")
-    for census in censuses:
-        for rank in sorted(census.counts):
-            buf.write(f"{census.q},{census.d},{rank},{census.counts[rank]}\n")
+    for rank in sorted(census.counts):
+        buf.write(f"{census.q},{census.d},{rank},{census.counts[rank]}\n")
     return buf.getvalue()
 

@@ -3,9 +3,9 @@
 The group acts on the coordinate ring of P^(d-1) through the index shift
 sigma(x_i) = x_(i-1) and the scaling tau(x_i) = xi^(-i) x_i.  From the
 action we build the matrix R of quadric representations, the quadric
-matrix S (its block restricted through the calibrated odd eigenspace
-chart, which also drops points to chart coordinates), and the 9x9 Moore
-matrix.
+matrix S (its square block restricted to the odd eigenspace chart
+x_0 = 0, x_(d-k) = -x_k, which also drops points to chart coordinates),
+and the 9x9 Moore matrix.
 """
 
 from __future__ import annotations
@@ -106,31 +106,29 @@ def row_span_is_subrep(v, d: int) -> bool:
 
 
 class PminusChart:
-    """Chart of the odd eigenspace: x_0 -> 0 and x_(d-k) -> eps * x_k.
+    """Chart of the odd eigenspace P(V_-): x_0 = 0 and x_(d-k) = -x_k, with
+    chart coordinates x_1..x_((d-1)/2).
 
-    The sign eps is not read off the chart conventions in the source
-    displays (which are ambiguous); it is calibrated so that the restricted
-    block of R is antisymmetric, and pinned by the golden matrices.
+    The sign eps = -1 is what "odd" means, and no other sign would do:
+    after restriction, entry (j, i) of R's square block is
+    x_(i+j) x_(i-j) = eps * x_(i+j) x_(j-i), which is eps times entry
+    (i, j), so the block is skew only for eps = -1.  SkewMatrix.from_rows
+    and the golden display in s_matrix check the block.
     """
 
-    def __init__(self, d: int, eps: int) -> None:
-        if eps not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
+    eps = -1
+
+    def __init__(self, d: int) -> None:
         self.d = d
-        self.eps = eps
         self.half = (d - 1) // 2
 
-    def substitution(self) -> dict[int, SparsePoly]:
-        d, m = self.d, self.half
-        target = m
-        sub = {0: SparsePoly.zero(target)}
-        for k in range(1, m + 1):
-            sub[k] = SparsePoly.variable(target, k - 1)
-            sub[d - k] = SparsePoly.variable(target, k - 1).scale(self.eps)
-        return sub
-
     def restrict(self, f: SparsePoly) -> SparsePoly:
-        return f.substitute(self.substitution(), nvars_out=self.half)
+        d, m = self.d, self.half
+        sub = {0: SparsePoly.zero(m)}
+        for k in range(1, m + 1):
+            sub[k] = SparsePoly.variable(m, k - 1)
+            sub[d - k] = sub[k].scale(self.eps)
+        return f.substitute(sub, nvars_out=m)
 
     def restrict_point(self, coords) -> tuple:
         """Drop a point with full coordinates to chart coordinates, checking oddness."""
@@ -147,35 +145,16 @@ class PminusChart:
 
 
 @lru_cache(maxsize=None)
-def pminus_chart(d: int) -> PminusChart:
-    """The calibrated chart: the unique sign making the restricted block skew."""
-    R = build_R(d)
-    h = (d + 1) // 2
-    for eps in (-1, 1):
-        chart = PminusChart(d, eps)
-        block = [[chart.restrict(R[i][j]) for j in range(h)] for i in range(h)]
-        try:
-            SkewMatrix.from_rows(block)
-        except ValueError:
-            continue
-        return chart
-    raise AssertionError(f"no sign rule makes the restricted block antisymmetric for d={d}")
-
-
-@lru_cache(maxsize=None)
 def s_matrix(d: int) -> SkewMatrix:
-    """The (d+1)/2-square block of R restricted to the odd chart, checked
-    against the golden display."""
-    chart = pminus_chart(d)
+    """The (d+1)/2-square block of R restricted to the odd chart, for d = 9
+    or 11, checked against the golden display s_matrix_d{d}.txt."""
+    chart = PminusChart(d)
     R = build_R(d)
     h = (d + 1) // 2
     s = SkewMatrix.from_rows([[chart.restrict(R[i][j]) for j in range(h)] for i in range(h)])
-    name = {11: "s_matrix_d11.txt", 9: "s_matrix_d9.txt"}.get(d)
-    if name is not None:
-        variables = [f"x{k}" for k in range(1, (d - 1) // 2 + 1)]
-        expected = golden.load_matrix(name, variables)
-        if s.rows() != expected:
-            raise AssertionError(f"restricted matrix disagrees with golden display for d={d}")
+    variables = [f"x{k}" for k in range(1, chart.half + 1)]
+    if s.rows() != golden.load_matrix(f"s_matrix_d{d}.txt", variables):
+        raise AssertionError(f"restricted matrix disagrees with golden display for d={d}")
     return s
 
 

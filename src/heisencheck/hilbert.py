@@ -18,9 +18,9 @@ matrix.  The rows are very sparse (about 2.4 nonzeros per
 row at t = 8 for J(lambda:mu)), so a peel of singleton columns over Z
 (linalg._peel_singletons, on the nonzero pattern, in rounds) comes first:
 a column whose only nonzero lies in row i makes row i independent over Q.
-Only the remainder is made dense; the larger of its ranks mod the two
-30-bit primes RANK_PRIMES is its rank over Q when it is full, and exact
-rationals decide otherwise, so every value is exact over Q.  Every
+Only the remainder is made dense; the first of the two 30-bit primes
+RANK_PRIMES at which it has full rank decides, and exact rationals decide
+when neither does, so every value is exact over Q.  Every
 J(lambda:mu) matrix checked (to t = 8 in the tests) peels to nothing, so
 no modular elimination runs on them.
 
@@ -227,15 +227,17 @@ def _scatter(width: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def _macaulay_rank(width: int, cols: np.ndarray, vals: np.ndarray) -> int:
     """Rank over Q of an integer matrix given as padded rows: its singleton
     peel over Z, plus the remainder's rank.  Only the remainder is made
-    dense.  Its rank mod p is at most its rank over Q, so the larger of its
-    ranks mod the RANK_PRIMES is exact when it is full; otherwise the rank
-    over Q is computed."""
+    dense.  Its rank mod p is at most its rank over Q, so full rank mod one
+    of the RANK_PRIMES is exact; the second prime is tried only when the
+    first falls short, and when both do, the rank over Q is computed."""
     nz_rows, slots = np.nonzero(cols < width)
     peeled, live_rows, live_cols = _peel_singletons(
         nz_rows, cols[nz_rows, slots], (len(cols), width))
     rest = _scatter(width, cols[live_rows], vals[live_rows])[:, live_cols]
-    lower = max(rank_mod(rest, p) for p in RANK_PRIMES)
-    return peeled + (lower if lower == min(rest.shape) else rank_fraction(rest.tolist()))
+    full = min(rest.shape)
+    if any(rank_mod(rest, p) == full for p in RANK_PRIMES):
+        return peeled + full
+    return peeled + rank_fraction(rest.tolist())
 
 
 def graded_hilbert(generators, nvars: int, t_max: int) -> list[int]:

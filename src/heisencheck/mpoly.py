@@ -337,13 +337,9 @@ def graded_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
 # -- canonical text form ------------------------------------------------------
 
 
-def default_variables(nvars: int, start: int = 0) -> list[str]:
-    return [f"x{i}" for i in range(start, start + nvars)]
-
-
 def render_poly(f: SparsePoly, variables: list[str] | None = None) -> str:
     if variables is None:
-        variables = default_variables(f.nvars)
+        variables = [f"x{i}" for i in range(f.nvars)]
     if len(variables) != f.nvars:
         raise ValueError("variable name list has wrong length")
     if not f.terms:
@@ -377,10 +373,9 @@ def render_poly(f: SparsePoly, variables: list[str] | None = None) -> str:
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|/|\+|-)")
 
 
-def parse_poly(text: str, variables: list[str], nvars: int | None = None) -> SparsePoly:
+def parse_poly(text: str, variables: list[str]) -> SparsePoly:
     """Parse the canonical grammar: rational coefficients, ``*`` products, ``^`` powers."""
-    if nvars is None:
-        nvars = len(variables)
+    nvars = len(variables)
     index = {name: i for i, name in enumerate(variables)}
     tokens: list[str | None] = []
     pos = 0

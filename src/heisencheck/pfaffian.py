@@ -132,22 +132,15 @@ class SkewMatrix:
 
     def times_vector(self, v: list) -> list:
         return [
-            sum_entries(self.entry(i, j) * v[j] for j in range(self.size) if self.entry(i, j) and v[j])
+            sum(self.entry(i, j) * v[j] for j in range(self.size) if self.entry(i, j) and v[j])
             for i in range(self.size)
         ]
 
 
-def sum_entries(items) -> object:
-    total = 0
-    for x in items:
-        total = x + total
-    return total
-
-
-def random_skew(size: int, rng, bound: int = 9) -> SkewMatrix:
-    """Random skew matrix with exact int entries in [-bound, bound]."""
+def random_skew(size: int, rng) -> SkewMatrix:
+    """Random skew matrix with exact int entries in [-9, 9]."""
     upper = {}
     for i in range(size):
         for j in range(i + 1, size):
-            upper[(i, j)] = rng.randint(-bound, bound)
+            upper[(i, j)] = rng.randint(-9, 9)
     return SkewMatrix(size, upper)

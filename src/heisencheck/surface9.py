@@ -3,7 +3,7 @@ degenerate fiber ideal at z0, and the flat family of torus ideals.
 
 The kernel map is the tuple of its five quartics in x1..x4, evaluated one
 coordinate at a time; a point with nine coordinates reaches x1..x4 through
-the calibrated odd chart, heisenberg.pminus_chart(9).restrict_point.
+the odd chart x_0 = 0, x_(9-k) = -x_k, heisenberg.PminusChart(9).restrict_point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import golden
-from .heisenberg import build_moore, pminus_chart, s_matrix, sigma, v_dot_R
+from .heisenberg import PminusChart, build_moore, s_matrix, sigma, v_dot_R
 from .mpoly import SparsePoly, divmod_single, monomial_divides, monomial_exponents
 
 # z0 is the degeneration parameter (a 9-gon secant point) and P the common
@@ -89,14 +89,15 @@ def reduce_mod_monomials(f: SparsePoly, monomials: list[SparsePoly]) -> SparsePo
     return SparsePoly(f.nvars, kept)
 
 
-def sigma_orbit(f: SparsePoly, d: int = 9) -> list[SparsePoly]:
-    """Orbit of f under the index shift, each element normalized monic."""
+def sigma_orbit(f: SparsePoly) -> list[SparsePoly]:
+    """Orbit of f in the 9-variable ring under the index shift, each element
+    normalized monic."""
     seen = []
     g = f.monic()
-    for _ in range(d):
+    for _ in range(9):
         if g not in seen:
             seen.append(g)
-        g = sigma(g, d).monic()
+        g = sigma(g, 9).monic()
     return seen
 
 
@@ -121,7 +122,7 @@ PFAFFIAN_ROWS_B = (1, 2, 3, 4, 6, 8)
 
 @lru_cache(maxsize=None)
 def degenerate_fiber_ideal() -> DegenerateFiberIdeal:
-    z0_chart = pminus_chart(9).restrict_point([Fraction(c) for c in Z0_FULL])
+    z0_chart = PminusChart(9).restrict_point([Fraction(c) for c in Z0_FULL])
     image = [v.evaluate(z0_chart) for v in theta9_closed_form()]
     # (0 : 1 : 0 : 0 : 0) projectively
     scale = next(c for c in image if c)

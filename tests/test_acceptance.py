@@ -53,7 +53,7 @@ from heisencheck.grassfano import (
     klein_from_hyperplanes,
     v14_relations_hold,
 )
-from heisencheck.heisenberg import pminus_chart, s_matrix, v_dot_R
+from heisencheck.heisenberg import PminusChart, s_matrix, v_dot_R
 from heisencheck.hilbert import (
     face_vector,
     graded_hilbert,
@@ -165,7 +165,7 @@ def test_c07_theta9_closed_form():
 def test_c08_theta9_z0_and_basepoint():
     with criterion("d9.theta.z0 + d9.basepoint", 1.0):
         theta = theta9_closed_form()
-        chart = pminus_chart(9).restrict_point([Fraction(c) for c in Z0_FULL])
+        chart = PminusChart(9).restrict_point([Fraction(c) for c in Z0_FULL])
         image = [v.evaluate(chart) for v in theta]
         assert [bool(v) for v in image] == [False, True, False, False, False]
         assert base_point_check([1, 0, 0, -1, 0])

@@ -326,7 +326,7 @@ def test_scan_d11_prints_the_full_scan_census(capsys):
     assert main(["scan", "--d", "11", "--prime", "67"]) == 0
     out = capsys.readouterr().out
     full = full_scan_strata(11, 67)
-    assert out == census_csv([full]) + "minimal stratum: rank 2 with 60 points\n"
+    assert out == census_csv(full) + "minimal stratum: rank 2 with 60 points\n"
 
 
 def test_hilbert_subcommand(capsys):

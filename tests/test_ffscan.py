@@ -1107,7 +1107,7 @@ def test_common_zeros_reject_a_wrong_arity():
 
 def test_census_csv():
     census = scan_strata(9, 19)
-    text = census_csv([census])
+    text = census_csv(census)
     lines = text.strip().splitlines()
     assert lines[0] == "q,d,rank,count"
     assert "19,9,2,40" in lines

@@ -6,9 +6,9 @@ import pytest
 from heisencheck import golden
 from heisencheck.exactnum import CycloNum
 from heisencheck.heisenberg import (
+    PminusChart,
     build_R,
     build_moore,
-    pminus_chart,
     row_span_is_subrep,
     s_matrix,
     sigma,
@@ -17,6 +17,7 @@ from heisencheck.heisenberg import (
     weight_components,
 )
 from heisencheck.mpoly import SparsePoly
+from heisencheck.pfaffian import SkewMatrix
 from oracles import cyclo_span_is_group_invariant, tau
 
 
@@ -193,9 +194,22 @@ def test_span_test_matches_the_cyclotomic_oracle(d):
     assert {(0, True), (1, True), (2, False), (3, False), (4, False)} <= answers
 
 
+def restricted_block(chart):
+    R = build_R(chart.d)
+    h = (chart.d + 1) // 2
+    return [[chart.restrict(R[i][j]) for j in range(h)] for i in range(h)]
+
+
+class EvenChart(PminusChart):
+    eps = 1
+
+
 @pytest.mark.parametrize("d", [9, 11])
-def test_chart_calibration_sign(d):
-    assert pminus_chart(d).eps == -1
+def test_chart_sign_is_forced(d):
+    assert PminusChart(d).eps == -1
+    assert restricted_block(PminusChart(d)) == s_matrix(d).rows()
+    with pytest.raises(ValueError):
+        SkewMatrix.from_rows(restricted_block(EvenChart(d)))
 
 
 def test_restricted_block_matches_displays():
@@ -207,7 +221,7 @@ def test_restricted_block_matches_displays():
 
 
 def test_chart_point_restriction():
-    chart = pminus_chart(9)
+    chart = PminusChart(9)
     assert chart.restrict_point([Fraction(c) for c in (0, 0, -1, -1, 0, 0, 1, 1, 0)]) == (
         Fraction(0), Fraction(-1), Fraction(-1), Fraction(0))
     with pytest.raises(ValueError):

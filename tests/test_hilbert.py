@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from heisencheck import hilbert
 from heisencheck.exactnum import CycloNum
 from heisencheck.heisenberg import v_dot_R
 from heisencheck.hilbert import (
@@ -418,14 +419,38 @@ def test_graded_hilbert_rejects_inhomogeneous():
         graded_hilbert([bad], 9, 2)
 
 
-def test_two_prime_disagreement_falls_back_to_exact_ranks():
+def spied_macaulay_rank(monkeypatch, width, cols, vals):
+    """_macaulay_rank's value and the calls it made to rank_mod and rank_fraction."""
+    calls = {"rank_mod": 0, "rank_fraction": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(hilbert, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(hilbert, name, spy)
+    return _macaulay_rank(width, cols, vals), calls
+
+
+def test_two_prime_disagreement_is_decided_by_the_second_prime(monkeypatch):
     # the 2x2 coefficient determinant is exactly the first rank prime, so
-    # the two modular ranks disagree in degree 2 and the exact path decides
+    # the degree-2 remainder has rank 1 mod p1 and full rank mod p2, which
+    # decides without exact ranks
     p1 = RANK_PRIMES[0]
     f = SparsePoly.monomial(3, [0, 0]) + SparsePoly.monomial(3, [1, 1])
     g = SparsePoly.monomial(3, [0, 0]) + SparsePoly.monomial(3, [1, 1], 1 + p1)
     profile = graded_hilbert([f, g], 3, 2)
     assert profile[2] == 6 - 2  # both generators count over Q
+    width, cols, vals = list(_macaulay_matrices([f, g], 3, 2))[2]
+    assert [rank_mod(_scatter(width, cols, vals), p) for p in RANK_PRIMES] == [1, 2]
+    rank, calls = spied_macaulay_rank(monkeypatch, width, cols, vals)
+    assert (rank, calls) == (2, {"rank_mod": 2, "rank_fraction": 0})
+
+
+@pytest.mark.parametrize("mat, rank, calls", [
+    (np.eye(3, dtype=np.int64), 3, {"rank_mod": 1, "rank_fraction": 0}),
+    (np.ones((2, 2), dtype=np.int64), 1, {"rank_mod": 2, "rank_fraction": 1}),
+], ids=["empty-remainder", "deficient-remainder"])
+def test_first_full_rank_prime_decides(monkeypatch, mat, rank, calls):
+    assert spied_macaulay_rank(monkeypatch, *_padded(mat)) == (rank, calls)
 
 
 def test_a_row_whose_only_entry_vanishes_mod_both_primes_still_counts():

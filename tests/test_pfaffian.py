@@ -10,7 +10,6 @@ from heisencheck.pfaffian import (
     ADJUGATE_SIGN,
     SkewMatrix,
     random_skew,
-    sum_entries,
 )
 from oracles import independent_sub_pfaffians
 
@@ -48,8 +47,8 @@ def det(rows):
 def product(a: SkewMatrix, b: SkewMatrix) -> list[list]:
     """The full product a @ b as row lists."""
     n = a.size
-    return [[sum_entries(a.entry(i, k) * b.entry(k, j) for k in range(n)
-                         if a.entry(i, k) and b.entry(k, j))
+    return [[sum(a.entry(i, k) * b.entry(k, j) for k in range(n)
+                 if a.entry(i, k) and b.entry(k, j))
              for j in range(n)] for i in range(n)]
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heisencheck import golden
-from heisencheck.heisenberg import pminus_chart, s_matrix, v_dot_R
+from heisencheck.heisenberg import PminusChart, s_matrix, v_dot_R
 from heisencheck.mpoly import SparsePoly, render_poly
 from heisencheck.surface9 import (
     BASE_POINT,
@@ -42,7 +42,7 @@ def test_kernel_annihilates_matrix():
 
 def test_image_of_z0():
     theta = theta9_closed_form()
-    chart = pminus_chart(9).restrict_point([Fraction(c) for c in Z0_FULL])
+    chart = PminusChart(9).restrict_point([Fraction(c) for c in Z0_FULL])
     assert chart == (Fraction(0), Fraction(-1), Fraction(-1), Fraction(0))
     image = [v.evaluate(chart) for v in theta]
     assert [bool(v) for v in image] == [False, True, False, False, False]
@@ -61,7 +61,7 @@ def test_base_point_vanishing():
 def test_theta_vanishes_at_special_points():
     theta = theta9_closed_form()
     for P in special_points_d9():
-        chart = pminus_chart(9).restrict_point(P)
+        chart = PminusChart(9).restrict_point(P)
         assert all(not v.evaluate(chart) for v in theta)
 
 
